@@ -93,9 +93,6 @@ class IntMatrix:
             raise ValueError("vector length does not match column count")
         return tuple(sum(self.row(i)[k] * vec[k] for k in range(self.cols)) for i in range(self.rows))
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
-
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
 
@@ -455,14 +452,6 @@ class GroupHom:
             raise ValueError("composition mismatch")
         return GroupHom(other.source, self.target, self.matrix @ other.matrix)
 
-    def power(self, k: int) -> "GroupHom":
-        if self.source != self.target:
-            raise ValueError("powers need a self-map")
-        out = GroupHom.identity(self.source)
-        for _ in range(k):
-            out = self.compose(out)
-        return out
-
     def is_zero(self) -> bool:
         return all(not any(self.apply(_basis_vec(self.source.gen_count, j))) for j in range(self.source.gen_count))
 
@@ -676,12 +665,19 @@ def matrix_to_json(m: IntMatrix) -> list[list[int]]:
     return m.to_rows()
 
 
+def json_int(value, what: str) -> int:
+    """An integer read from JSON; bool, float and str are rejected, not coerced."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, found {value!r}")
+    return value
+
+
 def matrix_from_json(data, rows: int | None = None, cols: int | None = None) -> IntMatrix:
     if not isinstance(data, list) or any(not isinstance(r, list) for r in data):
         raise ValueError("matrix JSON must be a list of rows")
     if not data:
         return IntMatrix(rows or 0, cols or 0, ())
-    return IntMatrix.from_rows([[int(x) for x in row] for row in data])
+    return IntMatrix.from_rows([[json_int(x, "a matrix entry") for x in row] for row in data])
 
 
 def group_to_json(g: FgAbGroup) -> dict:
@@ -692,7 +688,11 @@ def group_from_json(data: dict) -> FgAbGroup:
     if not isinstance(data, dict) or "free_rank" not in data:
         raise ValueError("group JSON must carry free_rank, torsion, gens")
     names = data.get("gens")
-    return FgAbGroup(int(data["free_rank"]), tuple(data.get("torsion", ())), tuple(names) if names is not None else None)
+    torsion = data.get("torsion", [])
+    if not isinstance(torsion, list):
+        raise ValueError("group torsion must be a list of integers")
+    tors = tuple(json_int(d, "a torsion coefficient") for d in torsion)
+    return FgAbGroup(json_int(data["free_rank"], "free_rank"), tors, tuple(names) if names is not None else None)
 
 
 def hom_to_json(h: GroupHom) -> dict:

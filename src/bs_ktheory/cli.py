@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import bc as bc_mod
 from . import pv as pv_mod
-from .abelian import IntMatrix, group_to_json, matrix_to_json, smith_normal_form
+from .abelian import IntMatrix, group_to_json, matrix_from_json, matrix_to_json, smith_normal_form
 from .errors import (
     DomainError,
     DepthExceeded,
@@ -211,10 +211,7 @@ def _load_matrix(literal_or_path: str) -> IntMatrix:
         if not path.exists():
             raise ValueError(f"no such file: {literal_or_path}")
         text = path.read_text(encoding="utf-8")
-    data = json.loads(text)
-    if not isinstance(data, list) or any(not isinstance(r, list) for r in data):
-        raise ValueError("matrix must be a JSON list of rows")
-    return IntMatrix.from_rows([[int(x) for x in row] for row in data])
+    return matrix_from_json(json.loads(text))
 
 
 def _run_snf(args) -> int:

@@ -133,10 +133,6 @@ class LocObject:
 AbObject = Union[FgAbGroup, LocObject]
 
 
-def ab_describe(obj: AbObject) -> str:
-    return obj.describe()
-
-
 @dataclass(frozen=True)
 class ColimModule:
     """The colimit of stage -> stage -> ... along the bonding self-map."""
@@ -303,12 +299,12 @@ def ab_to_json(obj: AbObject) -> dict:
 
 
 def ab_from_json(data: dict) -> AbObject:
-    from .abelian import group_from_json
+    from .abelian import group_from_json, json_int
 
     kind = data.get("kind")
     if kind == "fg":
         return group_from_json(data["group"])
     if kind == "loc":
         torsion = group_from_json(data["torsion"]) if "torsion" in data else FgAbGroup.trivial()
-        return LocObject(LocalizedInt(int(data["inverted"]), data.get("symbol", "v")), torsion)
+        return LocObject(LocalizedInt(json_int(data["inverted"], "inverted"), data.get("symbol", "v")), torsion)
     raise ValueError(f"unknown normalized-object kind {kind!r}")

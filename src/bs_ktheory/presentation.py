@@ -20,6 +20,10 @@ glued along the relator has H0 = Z, H1 = the abelianization (the
 the relator's exponent vector vanishes. When the relator is not a proper
 power, the complex is a 2-dimensional classifying space for the group and
 its K-homology is K0 = H0 + H2, K1 = H1.
+
+The relator is kept as syllables, (generator, exponent) runs, and every
+test on it works on syllables: exponents of any size cost nothing beyond
+their digits, so ``bs_presentation`` accepts every nonzero integer n.
 """
 
 from __future__ import annotations
@@ -80,19 +84,6 @@ class Word:
     def exponent_sum(self, gen: int) -> int:
         return sum(e for g, e in self.letters if g == gen)
 
-    def flatten(self) -> list[int]:
-        """Unit letters as signed generator indices (index+1, negated for inverses)."""
-        out = []
-        for g, e in self.letters:
-            step = 1 if e > 0 else -1
-            out.extend([(g + 1) * step] * abs(e))
-        return out
-
-    def cycled(self, k: int) -> "Word":
-        flat = self.flatten()
-        flat = flat[k:] + flat[:k]
-        return Word(tuple((abs(s) - 1, 1 if s > 0 else -1) for s in flat))
-
 
 @dataclass(frozen=True)
 class Presentation:
@@ -118,6 +109,7 @@ class ComplexHomology:
     h1: FgAbGroup
     h2: FgAbGroup
     basepoint_gen: str
+    h1_projection: GroupHom  # the 1-cycles, one generator per edge, onto h1
 
     def __post_init__(self):
         if self.h0.free_rank != 1 or self.h0.torsion:
@@ -283,45 +275,46 @@ def abelianization(p: Presentation) -> FgAbGroup:
     return _abelianization_ext(p)[0]
 
 
-def _cyclic_reduction(flat: list[int]) -> list[int]:
-    out = list(flat)
-    while len(out) >= 2 and out[0] == -out[-1]:
-        out = out[1:-1]
-    return out
+def _is_cyclic_proper_power(letters: tuple[Letter, ...]) -> bool:
+    """Whether the freely reduced word is conjugate to some u^k with k >= 2.
 
-
-def _is_proper_power(flat: list[int]) -> bool:
-    n = len(flat)
-    if n == 0:
-        return True
-    for period in range(1, n):
-        if n % period:
-            continue
-        if all(flat[i] == flat[i - period] for i in range(period, n)):
-            return True
-    return False
+    Cyclic reduction merges the first and last syllables while they share
+    a generator, dropping them when the exponents cancel. After it the cut
+    between the ends is a syllable boundary, so the word is a proper power
+    exactly when its syllable tuple has a period p < m dividing m, or when
+    it is one syllable g^e with |e| >= 2. The empty word counts as a proper
+    power (the trivial relator).
+    """
+    i, j = 0, len(letters) - 1
+    while i < j and letters[i][0] == letters[j][0] and letters[i][1] == -letters[j][1]:
+        i, j = i + 1, j - 1
+    if i < j and letters[i][0] == letters[j][0]:
+        letters = ((letters[i][0], letters[i][1] + letters[j][1]),) + letters[i + 1 : j]
+    else:
+        letters = letters[i : j + 1]
+    m = len(letters)
+    if m == 1:
+        return abs(letters[0][1]) >= 2
+    return m == 0 or any(m % p == 0 and letters[p:] == letters[:-p] for p in range(1, m))
 
 
 def presentation_homology(p: Presentation) -> ComplexHomology:
     """Homology of the one-vertex, m-edge, one-cell complex.
 
     Requires the relator not to be a proper power (otherwise the group has
-    torsion and the complex is not aspherical); detection extracts the
-    minimal cyclic root of the relator.
+    torsion and the complex is not aspherical); the test works on the
+    relator's syllables, so its cost does not grow with exponent size.
     """
-    reduced = _cyclic_reduction(p.relator.flatten())
-    if _is_proper_power(reduced):
+    if _is_cyclic_proper_power(p.relator.letters):
         raise ProperPowerRelator(
             "the relator is a proper power (or trivial), so the two-complex "
             "is not a classifying space"
         )
-    h1 = abelianization(p)
+    h1, projection = _abelianization_ext(p)
     h0 = FgAbGroup.free(1, ("pt",))
-    if any(exponent_vector(p)):
-        h2 = FgAbGroup.trivial()
-    else:
-        h2 = FgAbGroup.free(1, ("cell",))
-    return ComplexHomology(h0, h1, h2, basepoint_gen="pt")
+    # H2 = Z exactly when the exponent vector vanishes, i.e. H1 is free of rank m
+    h2 = FgAbGroup.free(1, ("cell",)) if h1.free_rank == len(p.generators) else FgAbGroup.trivial()
+    return ComplexHomology(h0, h1, h2, basepoint_gen="pt", h1_projection=projection)
 
 
 def classifying_space_k(p: Presentation) -> tuple[FgAbGroup, FgAbGroup, KClassLedger]:
@@ -332,8 +325,7 @@ def classifying_space_k(p: Presentation) -> tuple[FgAbGroup, FgAbGroup, KClassLe
     """
     hom = presentation_homology(p)
     k0 = FgAbGroup.free(1 + hom.h2.free_rank, (hom.basepoint_gen,) + hom.h2.gen_names)
-    h1, proj = _abelianization_ext(p)
-    k1 = h1
+    k1 = hom.h1
 
     ledger = KClassLedger()
     ledger = ledger.with_entry(
@@ -341,7 +333,7 @@ def classifying_space_k(p: Presentation) -> tuple[FgAbGroup, FgAbGroup, KClassLe
         KClass("k0", _basis_vec(k0.gen_count, 0), math.inf, "inclusion of a base point"),
     )
     for i, name in enumerate(p.generators):
-        vec = proj.apply(_basis_vec(len(p.generators), i))
+        vec = hom.h1_projection.apply(_basis_vec(len(p.generators), i))
         ledger = ledger.with_entry(
             name, KClass("k1", vec, element_order(k1, vec), "class of a group generator")
         )

@@ -36,6 +36,7 @@ from .abelian import (
     group_to_json,
     identity_minus,
     is_isomorphic,
+    json_int,
     matrix_from_json,
     matrix_to_json,
     solve,
@@ -457,7 +458,7 @@ def _selfmap_from_json(k: AbObject, data: dict, label: str) -> SelfMap:
     if "rung" not in data:
         raise ValueError(f"{label} needs a rung for a localized side")
     rung = data["rung"]
-    r = int(rung[0][0]) if isinstance(rung, list) else int(rung)
+    r = json_int(rung[0][0] if isinstance(rung, list) else rung, f"{label} rung")
     colim = k.loc.as_colim()
     return LadderMap(colim, colim, GroupHom(colim.stage, colim.stage, IntMatrix(1, 1, (r,))))
 

@@ -1,8 +1,9 @@
 """Shared oracles and random generators for the test suite.
 
 The oracles here are deliberately independent of the library's own
-algorithms: minors-gcd invariant factors for Smith form, and brute-force
-element chasing on finite stages for colimits.
+algorithms: minors-gcd invariant factors for Smith form, brute-force
+element chasing on finite stages for colimits, and a letter-by-letter
+proper-power detector for relators.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 from collections import Counter
 
 from bs_ktheory.abelian import FgAbGroup, GroupHom, IntMatrix
+from bs_ktheory.presentation import Word
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +151,50 @@ def minors_invariant_factors(m: IntMatrix) -> list[int]:
         out.append(g // prev)
         prev = g
     return out
+
+
+# ---------------------------------------------------------------------------
+# the unit-letter proper-power oracle for relators
+
+
+def flatten(w: Word) -> list[int]:
+    """Unit letters as signed generator indices (index+1, negated for inverses)."""
+    out = []
+    for g, e in w.letters:
+        step = 1 if e > 0 else -1
+        out.extend([(g + 1) * step] * abs(e))
+    return out
+
+
+def cycled(w: Word, k: int) -> Word:
+    """The cyclic conjugate of w that starts at its k-th unit letter."""
+    flat = flatten(w)
+    flat = flat[k:] + flat[:k]
+    return Word(tuple((abs(s) - 1, 1 if s > 0 else -1) for s in flat))
+
+
+def cyclic_reduction(flat: list[int]) -> list[int]:
+    out = list(flat)
+    while len(out) >= 2 and out[0] == -out[-1]:
+        out = out[1:-1]
+    return out
+
+
+def is_proper_power(flat: list[int]) -> bool:
+    n = len(flat)
+    if n == 0:
+        return True
+    for period in range(1, n):
+        if n % period:
+            continue
+        if all(flat[i] == flat[i - period] for i in range(period, n)):
+            return True
+    return False
+
+
+def relator_is_proper_power(w: Word) -> bool:
+    """Whether w is conjugate to a proper power, tested on its unit letters."""
+    return is_proper_power(cyclic_reduction(flatten(w)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,31 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from bs_ktheory.cli import main
 from bs_ktheory.pv import bs_input, kinput_to_json
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv):
+    """One ``python -m bs_ktheory`` process, as a ``bsk`` user runs it."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "bs_ktheory", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def assert_one_line_error(err):
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestBs:
@@ -60,6 +78,22 @@ class TestPv:
         data = json.loads(out)
         assert data["k0_crossed"]["free_rank"] == 1
         assert data["k1_crossed"]["free_rank"] == 1
+
+    def test_non_integer_fields_rejected(self, capsys, tmp_path):
+        corruptions = (
+            lambda d: d["k0"]["group"].update(torsion=5),
+            lambda d: d["k0"]["group"].update(free_rank=True),
+            lambda d: d["alpha1"].update(rung=1.5),
+            lambda d: d["k1"].update(inverted="3"),
+        )
+        for i, corrupt in enumerate(corruptions):
+            payload = kinput_to_json(bs_input(3))
+            corrupt(payload)
+            path = tmp_path / f"bad_{i}.json"
+            path.write_text(json.dumps(payload), encoding="utf-8")
+            code, out, err = run(capsys, "pv", str(path))
+            assert code == 2 and out == "", i
+            assert_one_line_error(err)
 
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -162,6 +196,13 @@ class TestSnf:
         code, _, _ = run(capsys, "snf", "[[1,2],[3]]")
         assert code == 2
 
+    def test_non_integer_entries_rejected(self, capsys):
+        # JSON floats and booleans must not be coerced to the integer 1
+        for literal in ("[[1.5]]", "[[true]]", '[["1"]]'):
+            code, out, err = run(capsys, "snf", literal)
+            assert code == 2 and out == "", literal
+            assert_one_line_error(err)
+
 
 class TestOutputContract:
     def test_determinism(self, capsys):
@@ -179,3 +220,21 @@ class TestOutputContract:
         assert out == ""
         data = json.loads(target.read_text(encoding="utf-8"))
         assert data["verdict"] is True
+
+
+class TestHugeExponentsInProcess:
+    def test_bs_large_parameter(self):
+        done = run_process("bs", "1000000000039")
+        assert done.returncode == 0, done.stderr
+        assert "K1 = Z + Z/1000000000038" in done.stdout
+
+    def test_khom_large_exponent(self):
+        done = run_process("khom", "<a,b|a^1000000000000 b>")
+        assert done.returncode == 0, done.stderr
+
+    def test_homology_large_proper_power(self):
+        done = run_process("homology", "<a|a^1000000000000>")
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert_one_line_error(done.stderr)
+        assert "proper power" in done.stderr

@@ -1,8 +1,10 @@
 import random
+import tracemalloc
 
 import pytest
 
 from bs_ktheory.abelian import FgAbGroup, is_isomorphic
+from bs_ktheory.bc import bc_compare
 from bs_ktheory.errors import DomainError, ParseError, ProperPowerRelator, UndeclaredGenerator
 from bs_ktheory.presentation import (
     Presentation,
@@ -15,6 +17,7 @@ from bs_ktheory.presentation import (
     presentation_homology,
     render,
 )
+from helpers import cycled, flatten, relator_is_proper_power
 
 
 class TestWord:
@@ -136,9 +139,8 @@ class TestAbelianization:
             p = Presentation(gens, w)
             base = abelianization(p)
             assert is_isomorphic(abelianization(Presentation(gens, w.inverse())), base)
-            flat = w.flatten()
-            k = rng.randrange(len(flat))
-            assert is_isomorphic(abelianization(Presentation(gens, w.cycled(k))), base)
+            k = rng.randrange(len(flatten(w)))
+            assert is_isomorphic(abelianization(Presentation(gens, cycled(w, k))), base)
 
 
 class TestHomology:
@@ -166,6 +168,54 @@ class TestHomology:
         # b (ab)^2 b^-1 is conjugate to a square
         with pytest.raises(ProperPowerRelator):
             presentation_homology(parse("< a, b | b a b a b b^-1 >"))
+
+    def test_proper_power_matches_unit_letter_oracle(self):
+        rng = random.Random(6)
+        exps = (-3, -2, -1, 1, 2, 3)
+
+        def random_word(gens, max_len):
+            return Word(tuple((rng.randrange(gens), rng.choice(exps)) for _ in range(rng.randint(0, max_len))))
+
+        # a third each: random words, powers w^k, conjugated powers c w^k c^-1
+        for trial in range(12000):
+            gens = rng.choice((2, 3))
+            if trial % 3 == 0:
+                w = random_word(gens, 7)
+            else:
+                w = Word(random_word(gens, 3).letters * rng.randint(1, 4))
+                if trial % 3 == 2:
+                    c = random_word(gens, 3)
+                    w = c * w * c.inverse()
+            p = Presentation(("a", "b", "c")[:gens], w)
+            try:
+                presentation_homology(p)
+                detected = False
+            except ProperPowerRelator:
+                detected = True
+            assert detected == relator_is_proper_power(w), w.letters
+
+    def test_huge_exponents(self):
+        # |n| from tiny to far past what a unit-letter expansion could hold
+        for n in (2, 10**6, 10**12 + 39, 2**61 - 1, -(10**30)):
+            hom = presentation_homology(bs_presentation(n))
+            expected_torsion = () if abs(n - 1) == 1 else (abs(n - 1),)
+            assert (hom.h1.free_rank, hom.h1.torsion) == (1, expected_torsion)
+            report = bc_compare(n)
+            assert report.verdict
+            for k1 in (report.lhs_k1, report.rhs_k1):
+                assert (k1.free_rank, k1.torsion) == (1, expected_torsion)
+        with pytest.raises(ProperPowerRelator):
+            presentation_homology(parse("< a, b | b^-7 a b^10000000000000 a b^10000000000000 a b^10000000000000 b^7 >"))
+
+    def test_memory_does_not_grow_with_exponent(self):
+        p = bs_presentation(10**12)
+        tracemalloc.start()
+        try:
+            presentation_homology(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_h2_dichotomy(self):
         rng = random.Random(5)
