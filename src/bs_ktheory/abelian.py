@@ -6,6 +6,12 @@ the chosen generating sets, and kernels, cokernels, element orders and
 isomorphism all reduce to Smith normal form over the integers. Every step
 uses Python ints, so the arithmetic is exact at any magnitude.
 
+There is one Smith-form core, ``_snf_ext``. It returns one result type,
+``SnfDecomposition``: the diagonal, the unimodular transforms u and v, and
+their inverses, tracked during elimination rather than inverted after.
+``_split_diag`` reads the free and torsion coordinates off the diagonal
+for every caller.
+
 Conventions used throughout:
 
 * a group with free rank r and torsion (d1, ..., dk) has r + k generators,
@@ -19,6 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain, repeat
 from typing import NamedTuple, Sequence
 
 # ---------------------------------------------------------------------------
@@ -38,7 +46,7 @@ class IntMatrix:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count does not match dimensions")
-        if any(not isinstance(e, int) for e in self.entries):
+        if not all(map(isinstance, self.entries, repeat(int))):
             raise ValueError("matrix entries must be Python ints")
 
     @classmethod
@@ -51,7 +59,7 @@ class IntMatrix:
         for row in rows:
             if len(row) != c:
                 raise ValueError("ragged rows")
-            flat.extend(int(x) for x in row)
+            flat.extend(row)
         return cls(r, c, tuple(flat))
 
     @classmethod
@@ -64,7 +72,7 @@ class IntMatrix:
 
     @classmethod
     def column(cls, vec: Sequence[int]) -> "IntMatrix":
-        return cls(len(vec), 1, tuple(int(x) for x in vec))
+        return cls(len(vec), 1, tuple(vec))
 
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
@@ -92,9 +100,6 @@ class IntMatrix:
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
         return tuple(sum(self.row(i)[k] * vec[k] for k in range(self.cols)) for i in range(self.rows))
-
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
 
     def det(self) -> int:
         """Exact determinant via fraction-free (Bareiss) elimination."""
@@ -141,88 +146,100 @@ def identity_minus(a: IntMatrix) -> IntMatrix:
 # Smith normal form
 
 
-@dataclass(frozen=True)
-class SnfDecomposition:
-    """u @ a @ v = s with s diagonal, u and v unimodular.
+class SnfDecomposition(NamedTuple):
+    """A Smith normal form u @ a @ v = s with both inverse transforms.
 
-    ``diag`` lists the diagonal of s; nonzero entries are positive, each
-    divides the next, and zeros come last.
+    ``u`` and ``v`` are unimodular, and ``u @ u_inv`` and ``v @ v_inv`` are
+    identities. ``diag`` is the diagonal of s: nonzero entries are positive,
+    each divides the next, and zeros come last, so it runs units, then
+    torsion entries, then zeros. ``s`` itself is built from it on demand.
     """
 
-    s: IntMatrix
-    u: IntMatrix
-    v: IntMatrix
     diag: tuple[int, ...]
-
-
-class _SnfExt(NamedTuple):
-    s: IntMatrix
     u: IntMatrix
     v: IntMatrix
     u_inv: IntMatrix
     v_inv: IntMatrix
 
+    @property
+    def s(self) -> IntMatrix:
+        rows, cols = self.u.rows, self.v.rows
+        entries = [0] * (rows * cols)
+        for i, d in enumerate(self.diag):
+            entries[i * cols + i] = d
+        return IntMatrix(rows, cols, tuple(entries))
 
-def _snf_ext(a: IntMatrix) -> _SnfExt:
+
+@lru_cache(maxsize=64)
+def _identity_tuple(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _identity_rows(n: int) -> list[list[int]]:
+    return [list(row) for row in _identity_tuple(n)]
+
+
+def _snf_ext(a: IntMatrix) -> SnfDecomposition:
     """Smith normal form with the inverse transforms tracked alongside.
 
     Pivot rule: the nonzero entry of least absolute value, ties broken by
-    lowest (row, col). This makes the output deterministic.
+    lowest (row, col). This makes the output deterministic. The working
+    state is plain lists; ``u_inv`` and ``v`` are kept transposed (``uit``,
+    ``vt``) so that every transform update replaces whole rows.
     """
     r, c = a.rows, a.cols
-    m = a.to_rows()
-    u = IntMatrix.identity(r).to_rows()
-    ui = IntMatrix.identity(r).to_rows()
-    v = IntMatrix.identity(c).to_rows()
-    vi = IntMatrix.identity(c).to_rows()
+    m = [list(a.entries[i * c : (i + 1) * c]) for i in range(r)]
+    u = _identity_rows(r)
+    uit = _identity_rows(r)
+    vt = _identity_rows(c)
+    vi = _identity_rows(c)
 
     def row_add(i: int, j: int, q: int) -> None:
         # row_i += q * row_j; inverse transform adjusts column j of u_inv
         m[i] = [x + q * y for x, y in zip(m[i], m[j])]
         u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-        for k in range(r):
-            ui[k][j] -= q * ui[k][i]
+        uit[j] = [x - q * y for x, y in zip(uit[j], uit[i])]
 
     def swap_rows(i: int, j: int) -> None:
-        if i == j:
-            return
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-        for k in range(r):
-            ui[k][i], ui[k][j] = ui[k][j], ui[k][i]
+        if i != j:
+            m[i], m[j] = m[j], m[i]
+            u[i], u[j] = u[j], u[i]
+            uit[i], uit[j] = uit[j], uit[i]
 
     def negate_row(i: int) -> None:
         m[i] = [-x for x in m[i]]
         u[i] = [-x for x in u[i]]
-        for k in range(r):
-            ui[k][i] = -ui[k][i]
+        uit[i] = [-x for x in uit[i]]
 
     def col_add(j: int, i: int, q: int) -> None:
         # col_j += q * col_i; inverse transform adjusts row i of v_inv
-        for k in range(r):
-            m[k][j] += q * m[k][i]
-        for k in range(c):
-            v[k][j] += q * v[k][i]
+        for row in m:
+            row[j] += q * row[i]
+        vt[j] = [x + q * y for x, y in zip(vt[j], vt[i])]
         vi[i] = [x - q * y for x, y in zip(vi[i], vi[j])]
 
     def swap_cols(i: int, j: int) -> None:
-        if i == j:
-            return
-        for k in range(r):
-            m[k][i], m[k][j] = m[k][j], m[k][i]
-        for k in range(c):
-            v[k][i], v[k][j] = v[k][j], v[k][i]
-        vi[i], vi[j] = vi[j], vi[i]
+        if i != j:
+            for row in m:
+                row[i], row[j] = row[j], row[i]
+            vt[i], vt[j] = vt[j], vt[i]
+            vi[i], vi[j] = vi[j], vi[i]
 
     def find_pivot(t: int) -> tuple[int, int] | None:
+        # a unit is the least possible |e|, so the first one found wins the tie rule
         best: tuple[int, int] | None = None
         best_abs = 0
         for i in range(t, r):
+            row = m[i]
             for j in range(t, c):
-                e = m[i][j]
-                if e != 0 and (best is None or abs(e) < best_abs):
-                    best = (i, j)
-                    best_abs = abs(e)
+                e = row[j]
+                if e:
+                    e_abs = abs(e)
+                    if e_abs == 1:
+                        return i, j
+                    if best is None or e_abs < best_abs:
+                        best = (i, j)
+                        best_abs = e_abs
         return best
 
     t = 0
@@ -275,13 +292,13 @@ def _snf_ext(a: IntMatrix) -> _SnfExt:
             negate_row(t)
         t += 1
 
-    s = IntMatrix.from_rows(m, cols=c)
-    return _SnfExt(
-        s,
-        IntMatrix.from_rows(u, cols=r),
-        IntMatrix.from_rows(v, cols=c),
-        IntMatrix.from_rows(ui, cols=r),
-        IntMatrix.from_rows(vi, cols=c),
+    flat = chain.from_iterable
+    return SnfDecomposition(
+        tuple(m[i][i] for i in range(limit)),
+        IntMatrix(r, r, tuple(flat(u))),
+        IntMatrix(c, c, tuple(flat(zip(*vt)))),
+        IntMatrix(r, r, tuple(flat(zip(*uit)))),
+        IntMatrix(c, c, tuple(flat(vi))),
     )
 
 
@@ -291,9 +308,18 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
     Works on any rectangular matrix, including empty ones. The result is
     deterministic for a given input.
     """
-    ext = _snf_ext(a)
-    diag = tuple(ext.s.at(i, i) for i in range(min(a.rows, a.cols)))
-    return SnfDecomposition(ext.s, ext.u, ext.v, diag)
+    return _snf_ext(a)
+
+
+def _split_diag(diag: tuple[int, ...], count: int) -> tuple[range, range]:
+    """(free, torsion) coordinates of a Smith form with ``count`` coordinates.
+
+    A coordinate is free where the diagonal is 0 or has ended, and torsion
+    where it is >= 2; unit coordinates are in neither. The diagonal's order
+    (units, torsion, zeros) makes both sets ranges.
+    """
+    rank = len(diag) - diag.count(0)
+    return range(rank, count), range(diag.count(1), rank)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +346,9 @@ class FgAbGroup:
     def __post_init__(self):
         if self.free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        tors = tuple(int(d) for d in self.torsion)
+        tors = tuple(self.torsion)
+        if not all(map(isinstance, tors, repeat(int))):
+            raise ValueError("torsion coefficients must be Python ints")
         object.__setattr__(self, "torsion", tors)
         for d in tors:
             if d < 2:
@@ -478,8 +506,7 @@ def _dominant_names(
     suffixed with ``tag``. Duplicates get a numeric suffix so names stay
     unique within the group.
     """
-    names: list[str] = []
-    seen: dict[str, int] = {}
+    bases = []
     for idx, coeffs in enumerate(coeff_vectors):
         best = None
         best_abs = 0
@@ -487,11 +514,19 @@ def _dominant_names(
             if c != 0 and abs(c) > best_abs:
                 best = j
                 best_abs = abs(c)
-        base = base_names[best] + tag if best is not None else f"q{idx}{tag}"
-        count = seen.get(base, 0)
-        seen[base] = count + 1
-        names.append(base if count == 0 else f"{base}{count + 1}")
-    return tuple(names)
+        bases.append(base_names[best] + tag if best is not None else f"q{idx}{tag}")
+    return _unique_names(bases)
+
+
+def _unique_names(candidates: Sequence[str]) -> tuple[str, ...]:
+    """The names in order; a repeat gets its occurrence number as a suffix."""
+    seen: dict[str, int] = {}
+    out = []
+    for name in candidates:
+        count = seen.get(name, 0)
+        seen[name] = count + 1
+        out.append(name if count == 0 else f"{name}{count + 1}")
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -517,13 +552,10 @@ def _normal_form_of_quotient(
     the dropped unit summands.
     """
     ext = _snf_ext(relation_cols)
-    diag = [ext.s.at(i, i) for i in range(min(relation_cols.rows, relation_cols.cols))]
+    free_idx, tors_idx = _split_diag(ext.diag, ambient_count)
+    kept = [*free_idx, *tors_idx]
 
-    free_idx = [i for i in range(ambient_count) if i >= len(diag) or diag[i] == 0]
-    tors_idx = [i for i in range(len(diag)) if diag[i] >= 2]
-    kept = free_idx + tors_idx
-
-    torsion = tuple(diag[i] for i in tors_idx)
+    torsion = tuple(ext.diag[i] for i in tors_idx)
     proj_rows = [list(ext.u.row(i)) for i in kept]
     proj = IntMatrix.from_rows(proj_rows, cols=ambient_count)
     section_cols = [[ext.u_inv.at(i, j) for j in kept] for i in range(ambient_count)]
@@ -556,12 +588,8 @@ def cokernel(h: GroupHom) -> tuple[FgAbGroup, GroupHom]:
 def integer_kernel_basis(a: IntMatrix) -> list[tuple[int, ...]]:
     """A lattice basis of {x : a x = 0} over the integers."""
     ext = _snf_ext(a)
-    diag = [ext.s.at(i, i) for i in range(min(a.rows, a.cols))]
-    basis = []
-    for j in range(a.cols):
-        if j >= len(diag) or diag[j] == 0:
-            basis.append(ext.v.col(j))
-    return basis
+    free_idx, _ = _split_diag(ext.diag, a.cols)
+    return [ext.v.col(j) for j in free_idx]
 
 
 class _KernelData(NamedTuple):
@@ -582,16 +610,14 @@ def _kernel_ext(h: GroupHom) -> _KernelData:
     rel_mat = IntMatrix.from_rows([[g[i] for g in rel_gens] for i in range(b.cols)], cols=len(rel_gens))
 
     ext = _snf_ext(rel_mat)
-    diag = [ext.s.at(i, i) for i in range(min(rel_mat.rows, rel_mat.cols))]
-    free_idx = [i for i in range(b.cols) if i >= len(diag) or diag[i] == 0]
-    tors_idx = [i for i in range(len(diag)) if diag[i] >= 2]
-    kept = free_idx + tors_idx
+    free_idx, tors_idx = _split_diag(ext.diag, b.cols)
+    kept = [*free_idx, *tors_idx]
 
     inc_full = b @ ext.u_inv
     inc_cols = [[inc_full.at(i, j) for j in kept] for i in range(n)]
     inclusion_matrix = IntMatrix.from_rows(inc_cols, cols=len(kept))
 
-    torsion = tuple(diag[i] for i in tors_idx)
+    torsion = tuple(ext.diag[i] for i in tors_idx)
     col_vectors = [inclusion_matrix.col(j) for j in range(len(kept))]
     names = _dominant_names(col_vectors, h.source.gen_names, "")
     group = FgAbGroup(len(free_idx), torsion, names)
@@ -634,18 +660,16 @@ def solve(h: GroupHom, target_vec: Sequence[int]) -> tuple[int, ...] | None:
         raise ValueError("vector length does not match target generator count")
     a = hstack(h.matrix, h.target.relation_matrix())
     ext = _snf_ext(a)
-    diag = [ext.s.at(i, i) for i in range(min(a.rows, a.cols))]
+    free_idx, _ = _split_diag(ext.diag, a.rows)
     y = ext.u.apply(target_vec)
+    if any(y[i] for i in free_idx):
+        return None
     w = [0] * a.cols
-    for i in range(a.rows):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if y[i] != 0:
+    for i, d in enumerate(ext.diag):
+        if d:
+            w[i], rem = divmod(y[i], d)
+            if rem:
                 return None
-        else:
-            if y[i] % d != 0:
-                return None
-            w[i] = y[i] // d
     x_full = ext.v.apply(w)
     return tuple(x_full[: h.source.gen_count])
 
@@ -691,6 +715,8 @@ def group_from_json(data: dict) -> FgAbGroup:
     torsion = data.get("torsion", [])
     if not isinstance(torsion, list):
         raise ValueError("group torsion must be a list of integers")
+    if names is not None and (not isinstance(names, list) or not all(isinstance(x, str) for x in names)):
+        raise ValueError("group gens must be a list of names")
     tors = tuple(json_int(d, "a torsion coefficient") for d in torsion)
     return FgAbGroup(json_int(data["free_rank"], "free_rank"), tors, tuple(names) if names is not None else None)
 

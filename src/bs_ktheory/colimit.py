@@ -51,9 +51,6 @@ class LocalizedInt:
     def is_degenerate(self) -> bool:
         return abs(self.n) == 1
 
-    def prime_support(self) -> frozenset[int]:
-        return frozenset(_prime_factors(abs(self.n)))
-
     def as_group(self) -> FgAbGroup:
         """The underlying group when |n| = 1 (Z, generated by the symbol)."""
         if not self.is_degenerate:
@@ -72,23 +69,9 @@ class LocalizedInt:
         return self.describe()
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def localized_eq(a: LocalizedInt, b: LocalizedInt) -> bool:
-    """Z[1/n] depends only on the radical of n, so compare prime supports."""
-    return a.prime_support() == b.prime_support()
+    """Z[1/n] depends only on the primes of n: equal when each n divides a power of the other."""
+    return coprime_part(a.n, b.n) == 1 == coprime_part(b.n, a.n)
 
 
 def coprime_part(c: int, n: int) -> int:
@@ -301,6 +284,8 @@ def ab_to_json(obj: AbObject) -> dict:
 def ab_from_json(data: dict) -> AbObject:
     from .abelian import group_from_json, json_int
 
+    if not isinstance(data, dict):
+        raise ValueError("a normalized object must be a JSON object")
     kind = data.get("kind")
     if kind == "fg":
         return group_from_json(data["group"])

@@ -9,8 +9,10 @@ unitary before a solve has placed it.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from typing import Iterator
+
+from .abelian import json_int
 
 LOCATIONS = ("k0", "k1", "crossed0", "crossed1", "unitary")
 
@@ -26,17 +28,14 @@ class KClass:
         if self.location not in LOCATIONS:
             raise ValueError(f"unknown ledger location {self.location!r}")
         if self.vector is not None:
-            object.__setattr__(self, "vector", tuple(int(x) for x in self.vector))
+            object.__setattr__(self, "vector", tuple(self.vector))
 
 
-class KClassLedger:
-    """An immutable symbol table; updates return a new ledger."""
+class KClassLedger(Mapping):
+    """An immutable symbol table, read as a mapping; updates return a new ledger."""
 
-    def __init__(self, entries: dict[str, KClass] | None = None):
+    def __init__(self, entries: Mapping[str, KClass] | None = None):
         self._entries: dict[str, KClass] = dict(entries or {})
-
-    def __contains__(self, symbol: str) -> bool:
-        return symbol in self._entries
 
     def __getitem__(self, symbol: str) -> KClass:
         return self._entries[symbol]
@@ -47,12 +46,6 @@ class KClassLedger:
     def __iter__(self) -> Iterator[str]:
         return iter(self._entries)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, KClassLedger) and self._entries == other._entries
-
-    def items(self):
-        return self._entries.items()
-
     def symbols(self) -> list[str]:
         return sorted(self._entries)
 
@@ -60,9 +53,6 @@ class KClassLedger:
         new = dict(self._entries)
         new[symbol] = entry
         return KClassLedger(new)
-
-    def get(self, symbol: str, default: KClass | None = None) -> KClass | None:
-        return self._entries.get(symbol, default)
 
 
 def order_to_json(order: int | float | None):
@@ -78,7 +68,7 @@ def order_from_json(data) -> int | float | None:
         return None
     if data == "inf":
         return math.inf
-    return int(data)
+    return json_int(data, "a ledger order")
 
 
 def ledger_to_json(ledger: KClassLedger) -> dict:
@@ -94,12 +84,20 @@ def ledger_to_json(ledger: KClassLedger) -> dict:
 
 
 def ledger_from_json(data: dict) -> KClassLedger:
+    if not isinstance(data, dict):
+        raise ValueError("the ledger must be a JSON object")
     entries = {}
     for symbol, raw in data.items():
+        if not isinstance(raw, dict):
+            raise ValueError(f"ledger entry {symbol} must be a JSON object")
         vector = raw.get("coeffs")
+        if vector is not None:
+            if not isinstance(vector, list):
+                raise ValueError(f"coeffs of ledger entry {symbol} must be a list of integers")
+            vector = tuple(json_int(x, "a ledger coefficient") for x in vector)
         entries[symbol] = KClass(
             raw["group"],
-            tuple(vector) if vector is not None else None,
+            vector,
             order_from_json(raw.get("order")),
             raw.get("note", ""),
         )

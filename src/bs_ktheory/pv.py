@@ -24,14 +24,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from .abelian import (
+    QUOTIENT_TAG,
     FgAbGroup,
     GroupHom,
     IntMatrix,
     _cokernel_ext,
     _kernel_ext,
+    _unique_names,
     element_order,
     group_to_json,
     identity_minus,
@@ -54,8 +56,6 @@ from .colimit import (
 )
 from .errors import DomainError, UnresolvedExtension
 from .ledger import KClass, KClassLedger, ledger_from_json, ledger_to_json
-
-QUOTIENT_TAG = "‾"
 
 SelfMap = Union[GroupHom, LadderMap]
 
@@ -157,26 +157,16 @@ class PvSolution:
     seq1: SeqRecord
 
 
-class _Side:
+class _Side(NamedTuple):
     """Coinvariants and invariants of Id - alpha_* in one degree."""
 
-    def __init__(
-        self,
-        coinv: FgAbGroup,
-        push: Callable[[tuple[int, ...]], tuple[int, ...]],
-        inv: FgAbGroup,
-        inv_inclusion: GroupHom | None,
-        in_invariants: Callable[[tuple[int, ...]], bool],
-        express: Callable[[tuple[int, ...]], tuple[int, ...] | None],
-        killed_note: str,
-    ):
-        self.coinv = coinv
-        self.push = push
-        self.inv = inv
-        self.inv_inclusion = inv_inclusion
-        self.in_invariants = in_invariants
-        self.express = express
-        self.killed_note = killed_note
+    coinv: FgAbGroup
+    push: Callable[[tuple[int, ...]], tuple[int, ...]]
+    inv: FgAbGroup
+    inv_inclusion: GroupHom | None
+    in_invariants: Callable[[tuple[int, ...]], bool]
+    express: Callable[[tuple[int, ...]], tuple[int, ...] | None]
+    killed_note: str
 
 
 def _fg_side(group: FgAbGroup, alpha: GroupHom) -> _Side:
@@ -248,28 +238,11 @@ def _make_side(k: AbObject, alpha: SelfMap, degree: int) -> _Side:
     return _loc_side(k, alpha, degree)
 
 
-class _Assembled:
-    def __init__(
-        self,
-        record: SeqRecord,
-        embed_sub: Callable[[tuple[int, ...]], tuple[int, ...]],
-        embed_quot: Callable[[tuple[int, ...]], tuple[int, ...]],
-        quot_free_at: int,
-    ):
-        self.record = record
-        self.embed_sub = embed_sub
-        self.embed_quot = embed_quot
-        self.quot_free_at = quot_free_at  # index of the first quotient coordinate
-
-
-def _unique_names(candidates: list[str]) -> tuple[str, ...]:
-    seen: dict[str, int] = {}
-    out = []
-    for name in candidates:
-        count = seen.get(name, 0)
-        seen[name] = count + 1
-        out.append(name if count == 0 else f"{name}{count + 1}")
-    return tuple(out)
+class _Assembled(NamedTuple):
+    record: SeqRecord
+    embed_sub: Callable[[tuple[int, ...]], tuple[int, ...]]
+    embed_quot: Callable[[tuple[int, ...]], tuple[int, ...]]
+    quot_free_at: int  # index of the first quotient coordinate
 
 
 def _assemble(sub: FgAbGroup, quot: FgAbGroup, label: str) -> _Assembled:
@@ -448,6 +421,8 @@ def _selfmap_to_json(k: AbObject, alpha: SelfMap) -> dict:
 
 
 def _selfmap_from_json(k: AbObject, data: dict, label: str) -> SelfMap:
+    if not isinstance(data, dict):
+        raise ValueError(f"{label} must be a JSON object")
     if isinstance(k, FgAbGroup):
         if "matrix" not in data:
             raise ValueError(f"{label} needs a matrix for a finitely generated side")
@@ -458,7 +433,12 @@ def _selfmap_from_json(k: AbObject, data: dict, label: str) -> SelfMap:
     if "rung" not in data:
         raise ValueError(f"{label} needs a rung for a localized side")
     rung = data["rung"]
-    r = json_int(rung[0][0] if isinstance(rung, list) else rung, f"{label} rung")
+    if isinstance(rung, list):
+        m = matrix_from_json(rung)
+        if (m.rows, m.cols) != (1, 1):
+            raise ValueError(f"{label} rung must be an integer or a 1x1 matrix")
+        rung = m.entries[0]
+    r = json_int(rung, f"{label} rung")
     colim = k.loc.as_colim()
     return LadderMap(colim, colim, GroupHom(colim.stage, colim.stage, IntMatrix(1, 1, (r,))))
 

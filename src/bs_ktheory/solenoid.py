@@ -12,6 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .abelian import json_int
 from .errors import DepthExceeded
 
 
@@ -158,10 +160,13 @@ def random_point(n: int, depth: int, seed: int) -> SolenoidPoint:
 def point_to_json(z: SolenoidPoint) -> dict:
     return {
         "n": z.n,
-        "coords": [[str(a.value.numerator), str(a.value.denominator)] for a in z.coords],
+        "coords": [[a.value.numerator, a.value.denominator] for a in z.coords],
     }
 
 
 def point_from_json(data: dict) -> SolenoidPoint:
-    coords = tuple(RationalAngle.of(int(p), int(q)) for p, q in data["coords"])
-    return SolenoidPoint(int(data["n"]), coords)
+    coords = tuple(
+        RationalAngle.of(json_int(p, "an angle numerator"), json_int(q, "an angle denominator"))
+        for p, q in data["coords"]
+    )
+    return SolenoidPoint(json_int(data["n"], "n"), coords)

@@ -3,7 +3,9 @@
 The oracles here are deliberately independent of the library's own
 algorithms: minors-gcd invariant factors for Smith form, brute-force
 element chasing on finite stages for colimits, and a letter-by-letter
-proper-power detector for relators.
+proper-power detector for relators. The one exception is
+``reference_snf_ext``, the earlier index-loop Smith form, kept to check the
+library's transforms entry for entry.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from typing import NamedTuple
 
 from bs_ktheory.abelian import FgAbGroup, GroupHom, IntMatrix
 from bs_ktheory.presentation import Word
@@ -151,6 +154,141 @@ def minors_invariant_factors(m: IntMatrix) -> list[int]:
         out.append(g // prev)
         prev = g
     return out
+
+
+# ---------------------------------------------------------------------------
+# the index-loop Smith normal form: the library's row-update version must
+# produce the same diagonal and the same four transforms
+
+
+class _SnfExt(NamedTuple):
+    s: IntMatrix
+    u: IntMatrix
+    v: IntMatrix
+    u_inv: IntMatrix
+    v_inv: IntMatrix
+
+
+def reference_snf_ext(a: IntMatrix) -> _SnfExt:
+    """Smith normal form with the inverse transforms tracked alongside.
+
+    Pivot rule: the nonzero entry of least absolute value, ties broken by
+    lowest (row, col). This makes the output deterministic.
+    """
+    r, c = a.rows, a.cols
+    m = a.to_rows()
+    u = IntMatrix.identity(r).to_rows()
+    ui = IntMatrix.identity(r).to_rows()
+    v = IntMatrix.identity(c).to_rows()
+    vi = IntMatrix.identity(c).to_rows()
+
+    def row_add(i: int, j: int, q: int) -> None:
+        # row_i += q * row_j; inverse transform adjusts column j of u_inv
+        m[i] = [x + q * y for x, y in zip(m[i], m[j])]
+        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+        for k in range(r):
+            ui[k][j] -= q * ui[k][i]
+
+    def swap_rows(i: int, j: int) -> None:
+        if i == j:
+            return
+        m[i], m[j] = m[j], m[i]
+        u[i], u[j] = u[j], u[i]
+        for k in range(r):
+            ui[k][i], ui[k][j] = ui[k][j], ui[k][i]
+
+    def negate_row(i: int) -> None:
+        m[i] = [-x for x in m[i]]
+        u[i] = [-x for x in u[i]]
+        for k in range(r):
+            ui[k][i] = -ui[k][i]
+
+    def col_add(j: int, i: int, q: int) -> None:
+        # col_j += q * col_i; inverse transform adjusts row i of v_inv
+        for k in range(r):
+            m[k][j] += q * m[k][i]
+        for k in range(c):
+            v[k][j] += q * v[k][i]
+        vi[i] = [x - q * y for x, y in zip(vi[i], vi[j])]
+
+    def swap_cols(i: int, j: int) -> None:
+        if i == j:
+            return
+        for k in range(r):
+            m[k][i], m[k][j] = m[k][j], m[k][i]
+        for k in range(c):
+            v[k][i], v[k][j] = v[k][j], v[k][i]
+        vi[i], vi[j] = vi[j], vi[i]
+
+    def find_pivot(t: int) -> tuple[int, int] | None:
+        best: tuple[int, int] | None = None
+        best_abs = 0
+        for i in range(t, r):
+            for j in range(t, c):
+                e = m[i][j]
+                if e != 0 and (best is None or abs(e) < best_abs):
+                    best = (i, j)
+                    best_abs = abs(e)
+        return best
+
+    t = 0
+    limit = min(r, c)
+    while t < limit:
+        pivot = find_pivot(t)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+
+        # clear column t; leftover remainders force a re-pivot
+        col_clean = True
+        for i in range(t + 1, r):
+            if m[i][t] != 0:
+                q = m[i][t] // m[t][t]
+                if q:
+                    row_add(i, t, -q)
+                if m[i][t] != 0:
+                    col_clean = False
+        if not col_clean:
+            continue
+
+        row_clean = True
+        for j in range(t + 1, c):
+            if m[t][j] != 0:
+                q = m[t][j] // m[t][t]
+                if q:
+                    col_add(j, t, -q)
+                if m[t][j] != 0:
+                    row_clean = False
+        if not row_clean:
+            continue
+
+        # enforce the divisibility chain: the pivot must divide the rest
+        p = m[t][t]
+        offender = None
+        for i in range(t + 1, r):
+            for j in range(t + 1, c):
+                if m[i][j] % p != 0:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            row_add(t, offender, 1)
+            continue
+
+        if m[t][t] < 0:
+            negate_row(t)
+        t += 1
+
+    s = IntMatrix.from_rows(m, cols=c)
+    return _SnfExt(
+        s,
+        IntMatrix.from_rows(u, cols=r),
+        IntMatrix.from_rows(v, cols=c),
+        IntMatrix.from_rows(ui, cols=r),
+        IntMatrix.from_rows(vi, cols=c),
+    )
 
 
 # ---------------------------------------------------------------------------

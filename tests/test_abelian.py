@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -25,6 +26,7 @@ from helpers import (
     minors_invariant_factors,
     random_group,
     random_hom,
+    reference_snf_ext,
 )
 
 Z = FgAbGroup.free(1, ("x",))
@@ -89,6 +91,52 @@ class TestSmithNormalForm:
             c = rng.randint(1, 4)
             a = IntMatrix(r, c, tuple(rng.randint(-20, 20) for _ in range(r * c)))
             assert list(smith_normal_form(a).diag) == minors_invariant_factors(a)
+
+    def test_matches_index_loop_reference(self):
+        # every transform, not just the diagonal, must equal the reference's
+        rng = random.Random(303)
+        for trial in range(10_000):
+            r = rng.randint(0, 7)
+            c = rng.randint(0, 7)
+            bound = (1, 3, 20, 10**6)[trial % 4]
+            zeros = rng.choice((0.0, 0.3, 0.6, 0.9))
+            a = IntMatrix(
+                r, c, tuple(0 if rng.random() < zeros else rng.randint(-bound, bound) for _ in range(r * c))
+            )
+            dec = smith_normal_form(a)
+            ref = reference_snf_ext(a)
+            assert dec.diag == tuple(ref.s.at(i, i) for i in range(min(r, c))), a
+            assert (dec.s, dec.u, dec.v, dec.u_inv, dec.v_inv) == tuple(ref), a
+
+    def test_tracked_inverses(self):
+        rng = random.Random(404)
+        shapes = [(rng.randint(0, 7), rng.randint(0, 7), 20) for _ in range(300)] + [(20, 20, 20)] * 3
+        for r, c, bound in shapes:
+            a = IntMatrix(r, c, tuple(rng.randint(-bound, bound) for _ in range(r * c)))
+            dec = smith_normal_form(a)
+            assert dec.u @ dec.u_inv == IntMatrix.identity(r)
+            assert dec.v @ dec.v_inv == IntMatrix.identity(c)
+            assert dec.u @ a @ dec.v == dec.s
+
+
+class TestNoCoercion:
+    def test_float_matrix_entry_rejected(self):
+        with pytest.raises(ValueError):
+            IntMatrix.from_rows([[1.5]])
+        with pytest.raises(ValueError):
+            IntMatrix.column([2, 1.0])
+
+    def test_fraction_matrix_entry_rejected(self):
+        with pytest.raises(ValueError):
+            IntMatrix.from_rows([[1, Fraction(2)]])
+        with pytest.raises(ValueError):
+            IntMatrix.column([Fraction(3, 1)])
+
+    def test_float_torsion_rejected(self):
+        with pytest.raises(ValueError):
+            FgAbGroup(0, (4.0,))
+        with pytest.raises(ValueError):
+            FgAbGroup(1, (2, Fraction(4)))
 
 
 class TestGroups:

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from bs_ktheory.cli import main
 from bs_ktheory.pv import bs_input, kinput_to_json
 
@@ -94,6 +96,49 @@ class TestPv:
             code, out, err = run(capsys, "pv", str(path))
             assert code == 2 and out == "", i
             assert_one_line_error(err)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda d: d["alpha1"].update(rung=[]),
+            lambda d: d["alpha1"].update(rung=[5]),
+            lambda d: d["k0"]["group"].update(gens=5),
+            lambda d: d.update(k0=[]),
+            lambda d: d.update(alpha0=5),
+            lambda d: d.update(ledger=[]),
+            lambda d: d["ledger"].update({"[1]": 3}),
+        ],
+        ids=["rung-empty-list", "rung-flat-list", "gens-not-a-list", "k0-not-an-object",
+             "alpha0-not-an-object", "ledger-not-an-object", "ledger-entry-not-an-object"],
+    )
+    def test_malformed_shape_rejected(self, capsys, tmp_path, corrupt):
+        payload = kinput_to_json(bs_input(3))
+        corrupt(payload)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run(capsys, "pv", str(path))
+        assert code == 2 and out == ""
+        assert_one_line_error(err)
+
+    @pytest.mark.parametrize("field, value", [("coeffs", "1"), ("order", 1.5), ("order", "7")])
+    def test_ledger_values_not_coerced(self, capsys, tmp_path, field, value):
+        payload = kinput_to_json(bs_input(3))
+        payload["ledger"]["[1]"][field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run(capsys, "pv", str(path))
+        assert code == 2 and out == ""
+        assert_one_line_error(err)
+        assert "integer" in err
+
+    def test_rung_as_one_by_one_matrix(self, capsys, tmp_path):
+        payload = kinput_to_json(bs_input(3))
+        path = tmp_path / "plain.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        plain = run(capsys, "pv", str(path))
+        payload["alpha1"]["rung"] = [[payload["alpha1"]["rung"]]]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert run(capsys, "pv", str(path)) == plain
 
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
