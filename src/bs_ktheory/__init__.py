@@ -30,6 +30,7 @@ from .colimit import (
 from .errors import (
     DepthExceeded,
     DomainError,
+    InvariantViolation,
     ParseError,
     ProperPowerRelator,
     StabilizationOverflow,

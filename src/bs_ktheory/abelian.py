@@ -412,7 +412,10 @@ class FgAbGroup:
         """Canonical representative: torsion coordinates mod their order."""
         if len(vec) != self.gen_count:
             raise ValueError("vector length does not match generator count")
-        out = [int(x) for x in vec]
+        out = list(vec)
+        for x in out:
+            if not isinstance(x, int):
+                raise ValueError("vector coordinates must be Python ints")
         for j, d in enumerate(self.torsion):
             out[self.free_rank + j] %= d
         return tuple(out)
@@ -696,11 +699,9 @@ def json_int(value, what: str) -> int:
     return value
 
 
-def matrix_from_json(data, rows: int | None = None, cols: int | None = None) -> IntMatrix:
+def matrix_from_json(data) -> IntMatrix:
     if not isinstance(data, list) or any(not isinstance(r, list) for r in data):
         raise ValueError("matrix JSON must be a list of rows")
-    if not data:
-        return IntMatrix(rows or 0, cols or 0, ())
     return IntMatrix.from_rows([[json_int(x, "a matrix entry") for x in row] for row in data])
 
 
@@ -720,19 +721,3 @@ def group_from_json(data: dict) -> FgAbGroup:
     tors = tuple(json_int(d, "a torsion coefficient") for d in torsion)
     return FgAbGroup(json_int(data["free_rank"], "free_rank"), tors, tuple(names) if names is not None else None)
 
-
-def hom_to_json(h: GroupHom) -> dict:
-    return {
-        "source": group_to_json(h.source),
-        "target": group_to_json(h.target),
-        "matrix": matrix_to_json(h.matrix),
-    }
-
-
-def hom_from_json(data: dict) -> GroupHom:
-    source = group_from_json(data["source"])
-    target = group_from_json(data["target"])
-    matrix = matrix_from_json(data["matrix"], rows=target.gen_count, cols=source.gen_count)
-    if matrix.rows == 0 and matrix.cols == 0:
-        matrix = IntMatrix.zeros(target.gen_count, source.gen_count)
-    return GroupHom(source, target, matrix)

@@ -11,12 +11,11 @@ copied across.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .abelian import FgAbGroup, element_order, generates, group_to_json, is_isomorphic
 from .errors import DomainError, UnspecifiedTraceValue
-from .ledger import order_to_json
+from .ledger import _order_text, order_to_json
 from .presentation import bs_presentation, classifying_space_k
 from .pv import PvSolution, bs_input, pv_solve
 
@@ -98,25 +97,19 @@ def bc_compare(n: int) -> BcReport:
         ord_pt == ord_unit and generates(lhs_k0, pt.vector) and generates(rhs_k0, unit.vector),
     )
 
-    a_lhs = lhs_ledger["a"]
-    a_rhs = rhs_ledger["[a]"]
-    ord_a_l = element_order(lhs_k1, a_lhs.vector)
-    ord_a_r = element_order(rhs_k1, a_rhs.vector) if a_rhs.vector is not None else None
-    a_match = MatchLine("a", "[a]", ord_a_l, ord_a_r, ord_a_l == ord_a_r)
+    matches = [base_match]
+    for lhs_symbol, rhs_symbol in (("a", "[a]"), ("b", "[b]")):
+        rhs_vector = rhs_ledger[rhs_symbol].vector
+        ord_l = element_order(lhs_k1, lhs_ledger[lhs_symbol].vector)
+        ord_r = element_order(rhs_k1, rhs_vector) if rhs_vector is not None else None
+        matches.append(MatchLine(lhs_symbol, rhs_symbol, ord_l, ord_r, ord_l == ord_r))
 
-    b_lhs = lhs_ledger["b"]
-    b_rhs = rhs_ledger["[b]"]
-    ord_b_l = element_order(lhs_k1, b_lhs.vector)
-    ord_b_r = element_order(rhs_k1, b_rhs.vector)
-    b_match = MatchLine("b", "[b]", ord_b_l, ord_b_r, ord_b_l == ord_b_r)
-
-    matches = (base_match, a_match, b_match)
     verdict = (
         is_isomorphic(lhs_k0, rhs_k0)
         and is_isomorphic(lhs_k1, rhs_k1)
         and all(m.matched for m in matches)
     )
-    return BcReport(n, lhs_k0, lhs_k1, rhs_k0, rhs_k1, matches, verdict, trace_image(solution))
+    return BcReport(n, lhs_k0, lhs_k1, rhs_k0, rhs_k1, tuple(matches), verdict, trace_image(solution))
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +137,6 @@ def report_to_json(report: BcReport) -> dict:
     }
 
 
-def _order_str(order: int | float | None) -> str:
-    if order is None:
-        return "?"
-    if order == math.inf:
-        return "inf"
-    return str(order)
-
-
 def render_report(report: BcReport) -> str:
     lines = [
         f"two-sided K-computation for parameter n = {report.n}",
@@ -163,7 +148,7 @@ def render_report(report: BcReport) -> str:
         status = "ok" if m.matched else "MISMATCH"
         lines.append(
             f"    {m.lhs_symbol:5} <-> {m.rhs_symbol:5} "
-            f"order {_order_str(m.order_lhs):>4} | {_order_str(m.order_rhs):<4} {status}"
+            f"order {_order_text(m.order_lhs):>4} | {_order_text(m.order_rhs):<4} {status}"
         )
     lines.append(f"  verdict: {'ISOMORPHIC' if report.verdict else 'MISMATCH'}")
     lines.append(f"  trace image on K0: {report.trace_image}")

@@ -18,14 +18,8 @@ from pathlib import Path
 from . import bc as bc_mod
 from . import pv as pv_mod
 from .abelian import IntMatrix, group_to_json, matrix_from_json, matrix_to_json, smith_normal_form
-from .errors import (
-    DomainError,
-    DepthExceeded,
-    ParseError,
-    ProperPowerRelator,
-    UnresolvedExtension,
-)
-from .ledger import ledger_to_json
+from .errors import DomainError, UnresolvedExtension
+from .ledger import _order_text, ledger_to_json
 from .presentation import classifying_space_k, parse, presentation_homology
 from .solenoid import NadicRational, duality_check, pairing, pairing_raw, random_point
 
@@ -133,7 +127,7 @@ def _run_khom(args) -> int:
         lines = [f"K0 = {k0}", f"K1 = {k1}", "classes:"]
         for symbol in ledger.symbols():
             entry = ledger[symbol]
-            order = "inf" if entry.order == float("inf") else str(entry.order)
+            order = _order_text(entry.order)
             lines.append(f"  {symbol:6} in {entry.location}: coeffs {list(entry.vector)}, order {order}")
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -253,10 +247,7 @@ def main(argv: list[str] | None = None) -> int:
         payload = {"error": "unresolved extension", "message": str(exc), "partial": exc.partial}
         _emit(_dump(payload), args.out)
         return EXIT_UNRESOLVED
-    except (DomainError, ParseError, ProperPowerRelator, DepthExceeded) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USER_ERROR
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USER_ERROR
     except AssertionError as exc:

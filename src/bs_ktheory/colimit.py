@@ -24,10 +24,13 @@ from .abelian import (
     IntMatrix,
     _basis_vec,
     _cokernel_ext,
+    group_from_json,
+    group_to_json,
+    json_int,
     kernel,
     solve,
 )
-from .errors import StabilizationOverflow, UnsupportedColimitShape
+from .errors import InvariantViolation, StabilizationOverflow, UnsupportedColimitShape
 
 MAX_STABILIZATION_STEPS = 64
 
@@ -182,7 +185,7 @@ def _induced_on_subgroup(b: GroupHom, sub: FgAbGroup, inc: GroupHom) -> GroupHom
         image = b.apply(inc.apply(_basis_vec(sub.gen_count, j)))
         x = solve(inc, image)
         if x is None:
-            raise AssertionError("subgroup is not invariant under the map")
+            raise InvariantViolation("subgroup is not invariant under the map")
         cols.append(x)
     matrix = IntMatrix.from_rows([[col[i] for col in cols] for i in range(sub.gen_count)], cols=len(cols))
     return GroupHom(sub, sub, matrix)
@@ -252,25 +255,7 @@ def ladder_cokernel(m: LadderMap) -> AbObject:
 # JSON forms
 
 
-def colim_to_json(c: ColimModule) -> dict:
-    from .abelian import group_to_json, matrix_to_json
-
-    return {"stage": group_to_json(c.stage), "bond": matrix_to_json(c.bond.matrix)}
-
-
-def colim_from_json(data: dict) -> ColimModule:
-    from .abelian import group_from_json, matrix_from_json
-
-    stage = group_from_json(data["stage"])
-    bond = matrix_from_json(data["bond"], rows=stage.gen_count, cols=stage.gen_count)
-    if bond.rows == 0 and bond.cols == 0 and stage.gen_count:
-        raise ValueError("bond matrix missing")
-    return ColimModule(stage, GroupHom(stage, stage, bond))
-
-
 def ab_to_json(obj: AbObject) -> dict:
-    from .abelian import group_to_json
-
     if isinstance(obj, FgAbGroup):
         return {"kind": "fg", "group": group_to_json(obj)}
     return {
@@ -282,8 +267,6 @@ def ab_to_json(obj: AbObject) -> dict:
 
 
 def ab_from_json(data: dict) -> AbObject:
-    from .abelian import group_from_json, json_int
-
     if not isinstance(data, dict):
         raise ValueError("a normalized object must be a JSON object")
     kind = data.get("kind")
@@ -291,5 +274,8 @@ def ab_from_json(data: dict) -> AbObject:
         return group_from_json(data["group"])
     if kind == "loc":
         torsion = group_from_json(data["torsion"]) if "torsion" in data else FgAbGroup.trivial()
-        return LocObject(LocalizedInt(json_int(data["inverted"], "inverted"), data.get("symbol", "v")), torsion)
+        symbol = data.get("symbol", "v")
+        if not isinstance(symbol, str):
+            raise ValueError(f"the symbol of a localization must be a string, found {symbol!r}")
+        return LocObject(LocalizedInt(json_int(data["inverted"], "inverted"), symbol), torsion)
     raise ValueError(f"unknown normalized-object kind {kind!r}")

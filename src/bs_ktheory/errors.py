@@ -56,6 +56,14 @@ class DepthExceeded(ValueError):
     """A solenoid point is not deep enough for the requested operation."""
 
 
+class InvariantViolation(AssertionError):
+    """A check that is a theorem failed: the implementation is wrong.
+
+    Raised explicitly rather than by ``assert``, so the check still runs
+    under ``python -O``; as an ``AssertionError`` it keeps the CLI's exit 3.
+    """
+
+
 class UnspecifiedTraceValue(ValueError):
     """The trace is not determined on some generator; refusing to invent
     a value."""

@@ -63,6 +63,13 @@ def order_to_json(order: int | float | None):
     return int(order)
 
 
+def _order_text(order: int | float | None) -> str:
+    """An order as tables print it: "inf" for free classes, "?" when undetermined."""
+    if order is None:
+        return "?"
+    return "inf" if order == math.inf else str(order)
+
+
 def order_from_json(data) -> int | float | None:
     if data is None:
         return None

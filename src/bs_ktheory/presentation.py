@@ -49,8 +49,8 @@ Letter = tuple[int, int]  # (generator index, nonzero exponent)
 def _reduce_letters(letters) -> tuple[Letter, ...]:
     out: list[list[int]] = []
     for gen, exp in letters:
-        gen = int(gen)
-        exp = int(exp)
+        if not (isinstance(gen, int) and isinstance(exp, int)):
+            raise ValueError("generator indices and exponents must be Python ints")
         if exp == 0:
             continue
         if out and out[-1][0] == gen:

@@ -54,7 +54,7 @@ from .colimit import (
     ladder_cokernel,
     ladder_kernel,
 )
-from .errors import DomainError, UnresolvedExtension
+from .errors import DomainError, InvariantViolation, UnresolvedExtension
 from .ledger import KClass, KClassLedger, ledger_from_json, ledger_to_json
 
 SelfMap = Union[GroupHom, LadderMap]
@@ -163,7 +163,6 @@ class _Side(NamedTuple):
     coinv: FgAbGroup
     push: Callable[[tuple[int, ...]], tuple[int, ...]]
     inv: FgAbGroup
-    inv_inclusion: GroupHom | None
     in_invariants: Callable[[tuple[int, ...]], bool]
     express: Callable[[tuple[int, ...]], tuple[int, ...] | None]
     killed_note: str
@@ -177,7 +176,6 @@ def _fg_side(group: FgAbGroup, alpha: GroupHom) -> _Side:
         coinv=coker.group,
         push=lambda vec: coker.projection.apply(vec),
         inv=ker.group,
-        inv_inclusion=ker.inclusion,
         in_invariants=lambda vec: not any(d.apply(vec)),
         express=lambda vec: solve(ker.inclusion, vec),
         killed_note="killed by the coinvariants projection",
@@ -209,18 +207,17 @@ def _loc_side(obj: LocObject, alpha: LadderMap, degree: int) -> _Side:
         GroupHom(alpha.source.stage, alpha.target.stage, IntMatrix(1, 1, (c,))),
     )
     staged = ladder_cokernel(d_ladder)
-    assert isinstance(staged, FgAbGroup) and is_isomorphic(staged, coinv), (
-        "staged cokernel disagrees with the coprime-part closed form"
-    )
+    if not (isinstance(staged, FgAbGroup) and is_isomorphic(staged, coinv)):
+        raise InvariantViolation("staged cokernel disagrees with the coprime-part closed form")
     staged_kernel = ladder_kernel(d_ladder)
-    assert isinstance(staged_kernel, FgAbGroup) and staged_kernel.is_trivial
+    if not (isinstance(staged_kernel, FgAbGroup) and staged_kernel.is_trivial):
+        raise InvariantViolation("staged kernel of Id - alpha on a localization is not trivial")
 
     inv = FgAbGroup.trivial()
     return _Side(
         coinv=coinv,
         push=push,
         inv=inv,
-        inv_inclusion=None,
         in_invariants=lambda vec: vec[0] * c == 0,
         express=lambda vec: () if vec[0] == 0 else None,
         killed_note=f"order divides {abs(c)} (coinvariants of multiplication by {c})",
@@ -275,10 +272,11 @@ def _assemble(sub: FgAbGroup, quot: FgAbGroup, label: str) -> _Assembled:
 
 
 def _audit(record: SeqRecord) -> None:
-    if record.split:
-        assert record.middle.free_rank == record.sub.free_rank + record.quotient.free_rank
+    if record.split and record.middle.free_rank != record.sub.free_rank + record.quotient.free_rank:
+        raise InvariantViolation("free rank is not additive over a split sequence")
     if record.sub.free_rank == 0 and record.quotient.free_rank == 0:
-        assert record.middle.order() == record.sub.order() * record.quotient.order()
+        if record.middle.order() != record.sub.order() * record.quotient.order():
+            raise InvariantViolation("order is not multiplicative over a finite sequence")
 
 
 def boundary_rule(ledger: KClassLedger) -> KClassLedger:
@@ -328,9 +326,11 @@ def pv_solve(kinput: KInput, apply_boundary_rule: bool = True) -> PvSolution:
     u_vector: tuple[int, ...] | None = None
     if apply_boundary_rule and unitary_symbols:
         # alpha is unital, so [1] is invariant; guarded rather than assumed
-        assert side0.in_invariants(unit.vector), "unital automorphism must fix [1]"
+        if not side0.in_invariants(unit.vector):
+            raise InvariantViolation("unital automorphism must fix [1]")
         expressed = side0.express(unit.vector)
-        assert expressed is not None
+        if expressed is None:
+            raise InvariantViolation("[1] is invariant but not in the image of the invariants")
         u_vector = seq1.embed_quot(tuple(-x for x in expressed))
         quot = seq1.record.quotient
         if (
@@ -347,19 +347,13 @@ def pv_solve(kinput: KInput, apply_boundary_rule: bool = True) -> PvSolution:
                 seq1.record.sub, k1_crossed, seq1.record.quotient, seq1.record.split, seq1.record.section
             )
 
+    pushforward = {"k0": (side0, seq0, k0_crossed, "crossed0"), "k1": (side1, seq1, k1_crossed, "crossed1")}
     for symbol, entry in sorted(ledger.items()):
-        if entry.location == "k0":
-            vec = seq0.embed_sub(side0.push(entry.vector))
-            note = side0.killed_note if (not any(vec) and any(entry.vector)) else ""
-            out = out.with_entry(
-                symbol, KClass("crossed0", vec, element_order(k0_crossed, vec), note)
-            )
-        elif entry.location == "k1":
-            vec = seq1.embed_sub(side1.push(entry.vector))
-            note = side1.killed_note if (not any(vec) and any(entry.vector)) else ""
-            out = out.with_entry(
-                symbol, KClass("crossed1", vec, element_order(k1_crossed, vec), note)
-            )
+        if entry.location in pushforward:
+            side, seq, group, location = pushforward[entry.location]
+            vec = seq.embed_sub(side.push(entry.vector))
+            note = side.killed_note if (not any(vec) and any(entry.vector)) else ""
+            out = out.with_entry(symbol, KClass(location, vec, element_order(group, vec), note))
         elif entry.location == "unitary":
             if u_vector is not None:
                 out = out.with_entry(
@@ -426,10 +420,7 @@ def _selfmap_from_json(k: AbObject, data: dict, label: str) -> SelfMap:
     if isinstance(k, FgAbGroup):
         if "matrix" not in data:
             raise ValueError(f"{label} needs a matrix for a finitely generated side")
-        m = matrix_from_json(data["matrix"], rows=k.gen_count, cols=k.gen_count)
-        if m.rows == 0 and m.cols == 0:
-            m = IntMatrix.zeros(k.gen_count, k.gen_count)
-        return GroupHom(k, k, m)
+        return GroupHom(k, k, matrix_from_json(data["matrix"]))
     if "rung" not in data:
         raise ValueError(f"{label} needs a rung for a localized side")
     rung = data["rung"]

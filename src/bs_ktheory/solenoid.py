@@ -13,7 +13,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .abelian import json_int
 from .errors import DepthExceeded
 
 
@@ -156,17 +155,3 @@ def random_point(n: int, depth: int, seed: int) -> SolenoidPoint:
     coords.reverse()
     return SolenoidPoint(n, tuple(coords))
 
-
-def point_to_json(z: SolenoidPoint) -> dict:
-    return {
-        "n": z.n,
-        "coords": [[a.value.numerator, a.value.denominator] for a in z.coords],
-    }
-
-
-def point_from_json(data: dict) -> SolenoidPoint:
-    coords = tuple(
-        RationalAngle.of(json_int(p, "an angle numerator"), json_int(q, "an angle denominator"))
-        for p, q in data["coords"]
-    )
-    return SolenoidPoint(json_int(data["n"], "n"), coords)

@@ -12,11 +12,25 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 from typing import NamedTuple
 
 from bs_ktheory.abelian import FgAbGroup, GroupHom, IntMatrix
 from bs_ktheory.presentation import Word
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_optimized(script: str) -> str:
+    """Run ``script`` in a ``python -O`` process, which strips ``assert``; return its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from bs_ktheory.bc import bc_compare, render_report, report_to_json, trace_image
 from bs_ktheory.errors import DomainError, UnspecifiedTraceValue
 from bs_ktheory.ledger import KClass, KClassLedger
 from bs_ktheory.pv import PvSolution, SeqRecord, bs_input, pv_solve
+from helpers import run_optimized
 
 GRID = list(range(-12, 0)) + list(range(2, 13))
 
@@ -109,3 +110,14 @@ class TestReportOutput:
         assert "K1 = Z + Z/4" in text
         assert "verdict: ISOMORPHIC" in text
         assert "trace image on K0: Z" in text
+
+
+def test_grid_under_optimized_mode():
+    out = run_optimized(
+        "from bs_ktheory.bc import bc_compare\n"
+        f"for n in {GRID}:\n"
+        "    r = bc_compare(n)\n"
+        "    print(n, __debug__, r.verdict, r.lhs_k1, r.rhs_k1)\n"
+    )
+    k1 = {n: "Z" if abs(n - 1) == 1 else f"Z + Z/{abs(n - 1)}" for n in GRID}
+    assert out == "".join(f"{n} False True {k1[n]} {k1[n]}\n" for n in GRID)

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -107,9 +108,13 @@ class TestPv:
             lambda d: d.update(alpha0=5),
             lambda d: d.update(ledger=[]),
             lambda d: d["ledger"].update({"[1]": 3}),
+            lambda d: d["k1"].update(symbol=3),
+            lambda d: d["k1"].update(symbol=None),
+            lambda d: d["k1"].update(symbol=["v"]),
         ],
         ids=["rung-empty-list", "rung-flat-list", "gens-not-a-list", "k0-not-an-object",
-             "alpha0-not-an-object", "ledger-not-an-object", "ledger-entry-not-an-object"],
+             "alpha0-not-an-object", "ledger-not-an-object", "ledger-entry-not-an-object",
+             "symbol-int", "symbol-null", "symbol-list"],
     )
     def test_malformed_shape_rejected(self, capsys, tmp_path, corrupt):
         payload = kinput_to_json(bs_input(3))
@@ -165,6 +170,65 @@ class TestPv:
         data = json.loads(out)
         assert data["error"] == "unresolved extension"
         assert data["partial"]
+
+
+# what a mutation puts in place of a value: each JSON type, a 1x1 matrix
+MUTANTS = (None, 0, 1.5, True, "x", [], [[1]], {})
+
+TWO_FG_SIDES = {
+    "k0": {"kind": "fg", "group": {"free_rank": 1, "torsion": [3], "gens": ["1", "t"]}},
+    "k1": {"kind": "fg", "group": {"free_rank": 1, "torsion": [], "gens": ["w"]}},
+    "alpha0": {"matrix": [[1, 0], [0, 2]]},
+    "alpha1": {"matrix": [[-1]]},
+    "ledger": {
+        "[1]": {"group": "k0", "coeffs": [1, 0], "order": "inf"},
+        "[t]": {"group": "k0", "coeffs": [0, 1], "order": 3},
+        "[w]": {"group": "k1", "coeffs": [1], "order": "inf"},
+    },
+}
+
+
+def _json_paths(node, path=()):
+    """Every key path into a JSON tree, the root excluded."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+def mutate(data, rng: random.Random):
+    """A copy of ``data`` with one value replaced by a mutant, or one key deleted."""
+    data = json.loads(json.dumps(data))
+    path = rng.choice(list(_json_paths(data)))
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and rng.random() < 0.2:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = json.loads(json.dumps(rng.choice(MUTANTS)))
+    return data
+
+
+class TestPvFuzz:
+    def test_mutated_inputs_exit_with_a_documented_code(self, capsys, tmp_path):
+        rng = random.Random(4)
+        seeds = [kinput_to_json(bs_input(n)) for n in (2, 3, -1, -4)] + [TWO_FG_SIDES]
+        path = tmp_path / "mutant.json"
+        failures = []
+        for _ in range(2000):
+            data = rng.choice(seeds)
+            for _ in range(rng.choice((1, 1, 2))):
+                data = mutate(data, rng)
+            path.write_text(json.dumps(data), encoding="utf-8")
+            try:
+                code, _, err = run(capsys, "pv", str(path))
+            except Exception as exc:
+                failures.append((data, repr(exc)))
+                continue
+            if code not in (0, 2, 3, 4) or (code == 2 and not (err.startswith("error: ") and err.count("\n") == 1)):
+                failures.append((data, code, err))
+        assert not failures, failures[:3]
 
 
 class TestHomology:

@@ -10,8 +10,6 @@ from bs_ktheory.colimit import (
     LocalizedInt,
     ab_from_json,
     ab_to_json,
-    colim_from_json,
-    colim_to_json,
     coprime_part,
     ladder_cokernel,
     ladder_kernel,
@@ -237,10 +235,6 @@ class TestLocalizedInt:
 
 
 class TestJson:
-    def test_colim_roundtrip(self):
-        c = scalar_colim(3)
-        assert colim_from_json(colim_to_json(c)) == c
-
     def test_ab_roundtrip(self):
         fg = FgAbGroup(1, (4,), ("a", "b"))
         assert ab_from_json(ab_to_json(fg)) == fg

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -38,6 +39,11 @@ class TestWord:
             letters = tuple((rng.randrange(3), rng.choice((-2, -1, 1, 2))) for _ in range(rng.randint(0, 8)))
             w = Word(letters)
             assert Word(w.letters) == w
+
+    @pytest.mark.parametrize("letter", [(0, 1.9), (0.0, 1), (0, Fraction(2)), (0, "1")])
+    def test_non_int_letters_rejected(self, letter):
+        with pytest.raises(ValueError):
+            Word((letter,))
 
 
 class TestParse:
@@ -274,3 +280,7 @@ class TestBsPresentation:
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             bs_presentation(0)
+
+    def test_non_integer_parameter_rejected(self):
+        with pytest.raises(ValueError):
+            bs_presentation(2.5)

@@ -16,6 +16,7 @@ from bs_ktheory.pv import (
     pv_solve,
     solution_to_json,
 )
+from helpers import run_optimized
 TRIVIAL = FgAbGroup.trivial()
 
 
@@ -261,3 +262,18 @@ class TestJson:
             kinput_from_json({"k0": {"kind": "fg", "group": {"free_rank": 1, "torsion": [], "gens": ["1"]}}})
         with pytest.raises(ValueError):
             kinput_from_json([1, 2, 3])
+
+
+class TestOptimizedMode:
+    def test_cross_check_survives_assert_stripping(self):
+        # a wrong closed form for the coinvariants must still be caught
+        out = run_optimized(
+            "import bs_ktheory.pv as pv\n"
+            "from bs_ktheory.errors import InvariantViolation\n"
+            "pv.coprime_part = lambda c, n: abs(c) + 1\n"
+            "try:\n"
+            "    pv.pv_solve(pv.bs_input(3))\n"
+            "except InvariantViolation as exc:\n"
+            "    print(__debug__, 'raised:', exc)\n"
+        )
+        assert out == "False raised: staged cokernel disagrees with the coprime-part closed form\n"

@@ -12,8 +12,6 @@ from bs_ktheory.solenoid import (
     duality_check,
     pairing,
     pairing_raw,
-    point_from_json,
-    point_to_json,
     random_point,
 )
 
@@ -152,21 +150,3 @@ class TestRandomPoint:
             z = random_point(5, 4, seed=seed)
             for k in range(4):
                 assert z.coords[k + 1].scale(5) == z.coords[k]
-
-    def test_json_roundtrip(self):
-        z = random_point(-2, 3, seed=8)
-        assert point_from_json(point_to_json(z)) == z
-
-    def test_json_values_not_coerced(self):
-        good = point_to_json(random_point(3, 2, seed=5))
-        corruptions = (
-            lambda d: d.update(n=3.0),
-            lambda d: d.update(n="3"),
-            lambda d: d["coords"][0].__setitem__(0, 0.0),
-            lambda d: d["coords"][1].__setitem__(1, str(d["coords"][1][1])),
-        )
-        for i, corrupt in enumerate(corruptions):
-            data = {"n": good["n"], "coords": [list(pair) for pair in good["coords"]]}
-            corrupt(data)
-            with pytest.raises(ValueError):
-                point_from_json(data)
