@@ -24,29 +24,34 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 # ---------------------------------------------------------------------------
 # integer matrices
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
     """An immutable rows x cols integer matrix, stored row-major."""
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = ()
+
+    def __new__(cls, rows: int, cols: int, entries: tuple[int, ...]):
+        # here and in FgAbGroup and GroupHom, validation is its own method,
+        # run once per construction: perfbench/spans.py counts it
+        self = tuple.__new__(cls, (rows, cols, entries))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+        rows, cols, entries = self
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ValueError("entry count does not match dimensions")
-        if not all(map(isinstance, self.entries, repeat(int))):
+        if not {*map(type, entries)} <= {int}:
             raise ValueError("matrix entries must be Python ints")
 
     @classmethod
@@ -330,42 +335,41 @@ def _default_names(count: int) -> tuple[str, ...]:
     return tuple(f"g{i}" for i in range(count))
 
 
-@dataclass(frozen=True)
-class FgAbGroup:
+class FgAbGroup(namedtuple("FgAbGroup", "free_rank torsion gen_names")):
     """A finitely generated abelian group in invariant-factor normal form.
 
     ``torsion`` is the chain (d1, ..., dk) with each di >= 2 and d1 | d2 |
     ...; the group is Z^free_rank + Z/d1 + ... + Z/dk. Generator names are
-    unique within the group, free generators named first.
+    unique within the group, free generators named first; without names
+    they are g0, g1, ...
     """
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
-    gen_names: tuple[str, ...] | None = None
+    __slots__ = ()
+
+    def __new__(cls, free_rank: int, torsion: Sequence[int] = (), gen_names: Sequence[str] | None = None):
+        torsion = tuple(torsion)
+        if gen_names is None:
+            gen_names = _default_names(free_rank + len(torsion))
+        self = tuple.__new__(cls, (free_rank, torsion, tuple(gen_names)))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
-        if self.free_rank < 0:
+        free_rank, tors, names = self
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        tors = tuple(self.torsion)
-        if not all(map(isinstance, tors, repeat(int))):
+        if not {*map(type, tors)} <= {int}:
             raise ValueError("torsion coefficients must be Python ints")
-        object.__setattr__(self, "torsion", tors)
         for d in tors:
             if d < 2:
                 raise ValueError("torsion coefficients must be >= 2")
         for a, b in zip(tors, tors[1:]):
             if b % a != 0:
                 raise ValueError(f"torsion {tors} is not a divisibility chain")
-        names = self.gen_names
-        if names is None:
-            names = _default_names(self.gen_count)
-        else:
-            names = tuple(names)
-        if len(names) != self.free_rank + len(tors):
+        if len(names) != free_rank + len(tors):
             raise ValueError("generator name count must match summand count")
         if len(set(names)) != len(names):
             raise ValueError("generator names must be unique")
-        object.__setattr__(self, "gen_names", names)
 
     @classmethod
     def trivial(cls) -> "FgAbGroup":
@@ -412,10 +416,9 @@ class FgAbGroup:
         """Canonical representative: torsion coordinates mod their order."""
         if len(vec) != self.gen_count:
             raise ValueError("vector length does not match generator count")
+        if not {*map(type, vec)} <= {int}:
+            raise ValueError("vector coordinates must be Python ints")
         out = list(vec)
-        for x in out:
-            if not isinstance(x, int):
-                raise ValueError("vector coordinates must be Python ints")
         for j, d in enumerate(self.torsion):
             out[self.free_rank + j] %= d
         return tuple(out)
@@ -440,8 +443,7 @@ class FgAbGroup:
         return self.describe()
 
 
-@dataclass(frozen=True)
-class GroupHom:
+class GroupHom(namedtuple("GroupHom", "source target matrix")):
     """A homomorphism between FgAbGroups as an integer matrix.
 
     Columns are indexed by source generators, rows by target generators.
@@ -450,9 +452,12 @@ class GroupHom:
     target. Ill-defined data is rejected, never silently normalized.
     """
 
-    source: FgAbGroup
-    target: FgAbGroup
-    matrix: IntMatrix
+    __slots__ = ()
+
+    def __new__(cls, source: FgAbGroup, target: FgAbGroup, matrix: IntMatrix):
+        self = tuple.__new__(cls, (source, target, matrix))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         if self.matrix.rows != self.target.gen_count or self.matrix.cols != self.source.gen_count:

@@ -11,7 +11,7 @@ copied across.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .abelian import FgAbGroup, element_order, generates, group_to_json, is_isomorphic
 from .errors import DomainError, UnspecifiedTraceValue
@@ -27,8 +27,7 @@ MATCHING_ASSUMPTIONS = (
 )
 
 
-@dataclass(frozen=True)
-class MatchLine:
+class MatchLine(NamedTuple):
     lhs_symbol: str
     rhs_symbol: str
     order_lhs: int | float
@@ -36,8 +35,7 @@ class MatchLine:
     matched: bool
 
 
-@dataclass(frozen=True)
-class BcReport:
+class BcReport(NamedTuple):
     n: int
     lhs_k0: FgAbGroup
     lhs_k1: FgAbGroup

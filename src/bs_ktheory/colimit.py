@@ -15,7 +15,7 @@ are rejected with ``UnsupportedColimitShape`` rather than approximated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Union
 
 from .abelian import (
@@ -35,20 +35,19 @@ from .errors import InvariantViolation, StabilizationOverflow, UnsupportedColimi
 MAX_STABILIZATION_STEPS = 64
 
 
-@dataclass(frozen=True)
-class LocalizedInt:
+class LocalizedInt(namedtuple("LocalizedInt", "n symbol")):
     """Z[1/n]: the colimit of Z along multiplication by n.
 
     ``symbol`` names the distinguished element, the image of 1 from stage
     zero. For |n| = 1 the localization degenerates to Z itself.
     """
 
-    n: int
-    symbol: str = "v"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n == 0:
+    def __new__(cls, n: int, symbol: str = "v"):
+        if n == 0:
             raise ValueError("cannot invert 0")
+        return tuple.__new__(cls, (n, symbol))
 
     @property
     def is_degenerate(self) -> bool:
@@ -96,16 +95,18 @@ def coprime_part(c: int, n: int) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class LocObject:
-    """A normalized colimit of the shape Z[1/n] + finite torsion."""
+class LocObject(namedtuple("LocObject", "loc torsion")):
+    """A normalized colimit of the shape Z[1/n] + finite torsion; the
+    torsion defaults to the trivial group."""
 
-    loc: LocalizedInt
-    torsion: FgAbGroup = field(default_factory=FgAbGroup.trivial)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.torsion.free_rank != 0:
+    def __new__(cls, loc: LocalizedInt, torsion: FgAbGroup | None = None):
+        if torsion is None:
+            torsion = FgAbGroup.trivial()
+        if torsion.free_rank != 0:
             raise ValueError("the torsion part must be a finite group")
+        return tuple.__new__(cls, (loc, torsion))
 
     def describe(self) -> str:
         if self.torsion.is_trivial:
@@ -119,37 +120,32 @@ class LocObject:
 AbObject = Union[FgAbGroup, LocObject]
 
 
-@dataclass(frozen=True)
-class ColimModule:
+class ColimModule(namedtuple("ColimModule", "stage bond")):
     """The colimit of stage -> stage -> ... along the bonding self-map."""
 
-    stage: FgAbGroup
-    bond: GroupHom
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.bond.source != self.stage or self.bond.target != self.stage:
+    def __new__(cls, stage: FgAbGroup, bond: GroupHom):
+        if bond.source != stage or bond.target != stage:
             raise ValueError("the bond must be a self-map of the stage")
+        return tuple.__new__(cls, (stage, bond))
 
 
-@dataclass(frozen=True)
-class LadderMap:
+class LadderMap(namedtuple("LadderMap", "source target rung")):
     """A map of colimits given stage-wise by one rung.
 
     Strict commutation rung o source.bond = target.bond o rung is required
     as an exact matrix identity; eventual commutation is out of scope.
     """
 
-    source: ColimModule
-    target: ColimModule
-    rung: GroupHom
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rung.source != self.source.stage or self.rung.target != self.target.stage:
+    def __new__(cls, source: ColimModule, target: ColimModule, rung: GroupHom):
+        if rung.source != source.stage or rung.target != target.stage:
             raise ValueError("rung endpoints must match the stage groups")
-        lhs = self.rung.matrix @ self.source.bond.matrix
-        rhs = self.target.bond.matrix @ self.rung.matrix
-        if lhs != rhs:
+        if rung.matrix @ source.bond.matrix != target.bond.matrix @ rung.matrix:
             raise ValueError("rung does not commute with the bonds")
+        return tuple.__new__(cls, (source, target, rung))
 
 
 def _stabilization_bound(g: FgAbGroup) -> int:

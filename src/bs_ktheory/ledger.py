@@ -9,26 +9,26 @@ unitary before a solve has placed it.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
 
 from .abelian import json_int
 
 LOCATIONS = ("k0", "k1", "crossed0", "crossed1", "unitary")
 
 
-@dataclass(frozen=True)
-class KClass:
-    location: str
-    vector: tuple[int, ...] | None
-    order: int | float | None  # math.inf for free classes, None when undetermined
-    note: str = ""
+class KClass(namedtuple("KClass", "location vector order note")):
+    """A tracked class: where it lives, its coefficient vector there, and its
+    order (math.inf for free classes, None when undetermined)."""
 
-    def __post_init__(self):
-        if self.location not in LOCATIONS:
-            raise ValueError(f"unknown ledger location {self.location!r}")
-        if self.vector is not None:
-            object.__setattr__(self, "vector", tuple(self.vector))
+    __slots__ = ()
+
+    def __new__(cls, location: str, vector: tuple[int, ...] | None, order: int | float | None, note: str = ""):
+        if vector is not None:
+            vector = tuple(vector)
+        if location not in LOCATIONS:
+            raise ValueError(f"unknown ledger location {location!r}")
+        return tuple.__new__(cls, (location, vector, order, note))
 
 
 class KClassLedger(Mapping):

@@ -29,7 +29,7 @@ their digits, so ``bs_presentation`` accepts every nonzero integer n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .abelian import (
     FgAbGroup,
@@ -49,7 +49,7 @@ Letter = tuple[int, int]  # (generator index, nonzero exponent)
 def _reduce_letters(letters) -> tuple[Letter, ...]:
     out: list[list[int]] = []
     for gen, exp in letters:
-        if not (isinstance(gen, int) and isinstance(exp, int)):
+        if type(gen) is not int or type(exp) is not int:
             raise ValueError("generator indices and exponents must be Python ints")
         if exp == 0:
             continue
@@ -62,14 +62,13 @@ def _reduce_letters(letters) -> tuple[Letter, ...]:
     return tuple((g, e) for g, e in out)
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(namedtuple("Word", "letters")):
     """A freely reduced word: adjacent letters use distinct generators."""
 
-    letters: tuple[Letter, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", _reduce_letters(self.letters))
+    def __new__(cls, letters: tuple[Letter, ...] = ()):
+        return tuple.__new__(cls, (_reduce_letters(letters),))
 
     @property
     def is_empty(self) -> bool:
@@ -85,37 +84,35 @@ class Word:
         return sum(e for g, e in self.letters if g == gen)
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(namedtuple("Presentation", "generators relator")):
     """A one-relator presentation < generators | relator >."""
 
-    generators: tuple[str, ...]
-    relator: Word
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
-        if len(set(self.generators)) != len(self.generators):
+    def __new__(cls, generators: tuple[str, ...], relator: Word):
+        generators = tuple(generators)
+        if len(set(generators)) != len(generators):
             raise ValueError("generator names must be distinct")
-        for g, _ in self.relator.letters:
-            if not 0 <= g < len(self.generators):
+        for g, _ in relator.letters:
+            if not 0 <= g < len(generators):
                 raise ValueError("relator uses an out-of-range generator index")
+        return tuple.__new__(cls, (generators, relator))
 
 
-@dataclass(frozen=True)
-class ComplexHomology:
-    """Homology of the presentation complex; h0 is Z with a named basepoint."""
+class ComplexHomology(namedtuple("ComplexHomology", "h0 h1 h2 basepoint_gen h1_projection")):
+    """Homology of the presentation complex; h0 is Z with a named basepoint.
 
-    h0: FgAbGroup
-    h1: FgAbGroup
-    h2: FgAbGroup
-    basepoint_gen: str
-    h1_projection: GroupHom  # the 1-cycles, one generator per edge, onto h1
+    ``h1_projection`` maps the 1-cycles, one generator per edge, onto h1.
+    """
 
-    def __post_init__(self):
-        if self.h0.free_rank != 1 or self.h0.torsion:
+    __slots__ = ()
+
+    def __new__(cls, h0: FgAbGroup, h1: FgAbGroup, h2: FgAbGroup, basepoint_gen: str, h1_projection: GroupHom):
+        if h0.free_rank != 1 or h0.torsion:
             raise ValueError("h0 of a connected complex must be Z")
-        if self.h2.torsion or self.h2.free_rank > 1:
+        if h2.torsion or h2.free_rank > 1:
             raise ValueError("h2 of a one-relator complex is Z or 0")
+        return tuple.__new__(cls, (h0, h1, h2, basepoint_gen, h1_projection))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ disabled the solver still resolves the groups but leaves [u] undetermined.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, NamedTuple, Union
 
 from .abelian import (
@@ -60,26 +60,21 @@ from .ledger import KClass, KClassLedger, ledger_from_json, ledger_to_json
 SelfMap = Union[GroupHom, LadderMap]
 
 
-@dataclass(frozen=True)
-class KInput:
+class KInput(namedtuple("KInput", "k0 k1 alpha0 alpha1 ledger")):
     """K-theory of the coefficient algebra, ready for the solver.
 
     The ledger must locate the unit class "[1]" in k0, and the degree-zero
     self-map must fix it (the automorphism is unital).
     """
 
-    k0: AbObject
-    k1: AbObject
-    alpha0: SelfMap
-    alpha1: SelfMap
-    ledger: KClassLedger
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_side(self.k0, self.alpha0, "alpha0")
-        _check_side(self.k1, self.alpha1, "alpha1")
-        for sym, entry in self.ledger.items():
+    def __new__(cls, k0: AbObject, k1: AbObject, alpha0: SelfMap, alpha1: SelfMap, ledger: KClassLedger):
+        _check_side(k0, alpha0, "alpha0")
+        _check_side(k1, alpha1, "alpha1")
+        for sym, entry in ledger.items():
             if entry.location in ("k0", "k1"):
-                side = self.k0 if entry.location == "k0" else self.k1
+                side = k0 if entry.location == "k0" else k1
                 if entry.vector is None:
                     raise ValueError(f"ledger entry {sym!r} needs a coefficient vector")
                 expected = side.gen_count if isinstance(side, FgAbGroup) else 1
@@ -96,24 +91,25 @@ class KInput:
                             f"ledger entry {sym!r} annotates order {entry.order}, "
                             f"but the class has order {true_order}"
                         )
-        unit = self.ledger.get("[1]")
+        unit = ledger.get("[1]")
         if unit is None or unit.location != "k0" or unit.vector is None:
             raise ValueError('the ledger must locate "[1]" in k0')
-        if isinstance(self.k0, FgAbGroup):
-            if len(unit.vector) != self.k0.gen_count:
+        if isinstance(k0, FgAbGroup):
+            if len(unit.vector) != k0.gen_count:
                 raise ValueError('"[1]" vector length does not match k0')
-            if element_order(self.k0, unit.vector) != math.inf:
+            if element_order(k0, unit.vector) != math.inf:
                 raise ValueError('"[1]" must have infinite order (unital algebra)')
-            if self.alpha0.apply(unit.vector) != self.k0.reduce(unit.vector):
+            if alpha0.apply(unit.vector) != k0.reduce(unit.vector):
                 raise ValueError("alpha0 must fix the unit class")
         else:
             if len(unit.vector) != 1:
                 raise ValueError('"[1]" vector over a localization has one coordinate')
             if unit.vector[0] == 0:
                 raise ValueError('"[1]" must be nonzero')
-            r = self.alpha0.rung.matrix.at(0, 0)
+            r = alpha0.rung.matrix.at(0, 0)
             if r != 1:
                 raise ValueError("alpha0 must fix the unit class")
+        return tuple.__new__(cls, (k0, k1, alpha0, alpha1, ledger))
 
 
 def _check_side(k: AbObject, alpha: SelfMap, label: str) -> None:
@@ -137,8 +133,7 @@ def _check_side(k: AbObject, alpha: SelfMap, label: str) -> None:
         raise ValueError(f"unsupported representation for {label}")
 
 
-@dataclass(frozen=True)
-class SeqRecord:
+class SeqRecord(NamedTuple):
     """One of the two short exact sequences, with how it was resolved."""
 
     sub: FgAbGroup
@@ -148,8 +143,7 @@ class SeqRecord:
     section: str
 
 
-@dataclass(frozen=True)
-class PvSolution:
+class PvSolution(NamedTuple):
     k0_crossed: FgAbGroup
     k1_crossed: FgAbGroup
     ledger_out: KClassLedger

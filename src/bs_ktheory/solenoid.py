@@ -10,20 +10,19 @@ operation declares the depth it needs and raises DepthExceeded past it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DepthExceeded
 
 
-@dataclass(frozen=True)
-class RationalAngle:
+class RationalAngle(namedtuple("RationalAngle", "value")):
     """e^(2 pi i p/q) as the reduced fraction p/q with 0 <= p/q < 1."""
 
-    value: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value) % 1)
+    def __new__(cls, value: Fraction):
+        return tuple.__new__(cls, (Fraction(value) % 1,))
 
     @classmethod
     def of(cls, p: int, q: int) -> "RationalAngle":
@@ -39,51 +38,45 @@ class RationalAngle:
         return str(self.value)
 
 
-@dataclass(frozen=True)
-class SolenoidPoint:
+class SolenoidPoint(namedtuple("SolenoidPoint", "n coords")):
     """A depth-L truncation (theta_0, ..., theta_L) with n*theta_{k+1} = theta_k mod 1."""
 
-    n: int
-    coords: tuple[RationalAngle, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n == 0:
+    def __new__(cls, n: int, coords: tuple[RationalAngle, ...]):
+        coords = tuple(coords)
+        if n == 0:
             raise ValueError("the solenoid parameter must be nonzero")
-        if not self.coords:
+        if not coords:
             raise ValueError("a point needs at least the depth-0 coordinate")
-        object.__setattr__(self, "coords", tuple(self.coords))
-        for k in range(len(self.coords) - 1):
-            if self.coords[k + 1].scale(self.n) != self.coords[k]:
+        for k in range(len(coords) - 1):
+            if coords[k + 1].scale(n) != coords[k]:
                 raise ValueError(f"compatibility fails between depths {k} and {k + 1}")
+        return tuple.__new__(cls, (n, coords))
 
     @property
     def depth(self) -> int:
         return len(self.coords) - 1
 
 
-@dataclass(frozen=True)
-class NadicRational:
+class NadicRational(namedtuple("NadicRational", "n m exp")):
     """m / n^exp in Z[1/n], canonical: n does not divide m, or exp = 0."""
 
-    n: int
-    m: int
-    exp: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n == 0:
+    def __new__(cls, n: int, m: int, exp: int):
+        if n == 0:
             raise ValueError("the inverted base must be nonzero")
-        if self.exp < 0:
+        if exp < 0:
             raise ValueError("the exponent must be nonnegative")
-        m, exp = self.m, self.exp
-        if abs(self.n) == 1:
-            m, exp = m * self.n**exp, 0
+        if abs(n) == 1:
+            m, exp = m * n**exp, 0
         if m == 0:
             exp = 0
-        while exp > 0 and m % self.n == 0:
-            m //= self.n
+        while exp > 0 and m % n == 0:
+            m //= n
             exp -= 1
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "exp", exp)
+        return tuple.__new__(cls, (n, m, exp))
 
     def value(self) -> Fraction:
         return Fraction(self.m, self.n**self.exp)

@@ -130,13 +130,24 @@ class TestNoCoercion:
         with pytest.raises(ValueError):
             IntMatrix.column([Fraction(3, 1)])
 
+    def test_bool_matrix_entry_rejected(self):
+        with pytest.raises(ValueError):
+            IntMatrix.from_rows([[True, False]])
+        with pytest.raises(ValueError):
+            IntMatrix.column([2, True])
+
     def test_float_torsion_rejected(self):
         with pytest.raises(ValueError):
             FgAbGroup(0, (4.0,))
         with pytest.raises(ValueError):
             FgAbGroup(1, (2, Fraction(4)))
 
-    @pytest.mark.parametrize("vec", [(1.5, 3.7), (1, 3.0), (Fraction(1), 3)])
+    def test_bool_torsion_rejected(self):
+        # a bool is below 2 as well; the message shows the type check caught it
+        with pytest.raises(ValueError, match="Python ints"):
+            FgAbGroup(0, (True,))
+
+    @pytest.mark.parametrize("vec", [(1.5, 3.7), (1, 3.0), (Fraction(1), 3), (1, True)])
     def test_reduce_rejects_non_int_coordinates(self, vec):
         with pytest.raises(ValueError):
             FgAbGroup(1, (4,)).reduce(vec)

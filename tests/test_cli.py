@@ -231,6 +231,54 @@ class TestPvFuzz:
         assert not failures, failures[:3]
 
 
+# presentation strings from these tests, valid and invalid, as fuzz seeds
+PRESENTATION_SEEDS = (
+    "<a,b | a b a^-1 = b^3>",
+    "<a,b|a b a^-1 b^-1>",
+    "<x,y,z | x y^2 z^-1 x^3>",
+    "<a,b,c | a^2 b^-2 c^3 a>",
+    "< a, b | b a b a b b^-1 >",
+    "< a, b | b^-7 a b^10000000000000 a b^10000000000000 a b^10000000000000 b^7 >",
+    "<a,b|a^1000000000000 b>",
+    "<a|a^2>",
+    "< a | a = a >",
+    "<a,b | a b c>",
+    "< a, b | a, b >",
+)
+FUZZ_ALPHABET = "<>|,=^-abcxyz_0123456789 \t"
+
+
+def mutate_text(text: str, rng: random.Random) -> str:
+    """``text`` with one character inserted, deleted or replaced."""
+    i = rng.randrange(len(text) + 1)
+    ch = rng.choice(FUZZ_ALPHABET)
+    op = rng.randrange(3)
+    if op == 0:
+        return text[:i] + ch + text[i:]
+    if op == 1:
+        return text[:i] + text[i + 1 :]
+    return text[:i] + ch + text[i + 1 :]
+
+
+class TestPresentationFuzz:
+    def test_mutated_text_exits_with_a_documented_code(self, capsys):
+        rng = random.Random(5)
+        failures = []
+        for _ in range(1000):
+            text = rng.choice(PRESENTATION_SEEDS)
+            for _ in range(rng.randint(1, 3)):
+                text = mutate_text(text, rng)
+            for command in ("homology", "khom"):
+                try:
+                    code, _, err = run(capsys, "--json", command, "--", text)
+                except (Exception, SystemExit) as exc:
+                    failures.append((command, text, repr(exc)))
+                    continue
+                if code not in (0, 2, 3, 4) or (code == 2 and err.count("\n") != 1):
+                    failures.append((command, text, code, err))
+        assert not failures, failures[:3]
+
+
 class TestHomology:
     def test_table(self, capsys):
         code, out, _ = run(capsys, "homology", "<a,b|a b a^-1 = b^3>")
@@ -347,3 +395,17 @@ class TestHugeExponentsInProcess:
         assert done.stdout == ""
         assert_one_line_error(done.stderr)
         assert "proper power" in done.stderr
+
+
+class TestStartup:
+    def test_no_dataclass_machinery_imported(self):
+        """A ``bsk`` call pays for no ``dataclasses`` import and what it pulls in."""
+        code = (
+            "import sys, bs_ktheory, bs_ktheory.cli\n"
+            "bs_ktheory.cli.main(['bs', '5'])\n"
+            "print(sorted(m for m in ('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"

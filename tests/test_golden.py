@@ -9,7 +9,10 @@ into a temporary directory first. To record the file again, run this module:
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -19,6 +22,7 @@ import pytest
 from bs_ktheory.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 PRESENTATIONS = (
     "<a,b | a b a^-1 b^-2>",
@@ -81,10 +85,15 @@ def _cases() -> list[dict]:
     return cases
 
 
-def _invoke(case: dict, directory: Path) -> dict:
+def _argv(case: dict, directory: Path) -> list[str]:
+    """The case's arguments, after writing the files it reads into ``directory``."""
     for name, text in case.get("files", {}).items():
         (directory / name).write_text(text, encoding="utf-8")
-    argv = [arg.replace("{dir}", str(directory)) for arg in case["argv"]]
+    return [arg.replace("{dir}", str(directory)) for arg in case["argv"]]
+
+
+def _invoke(case: dict, directory: Path) -> dict:
+    argv = _argv(case, directory)
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
@@ -102,6 +111,32 @@ RECORDED = _recorded()
 def test_output_matches_recording(case, tmp_path):
     expected = {key: case[key] for key in ("stdout", "stderr", "code")}
     assert _invoke(case, tmp_path) == expected
+
+
+def _first(argv_prefix: list[str]) -> dict:
+    """The first recorded case whose arguments start with ``argv_prefix``."""
+    return next(c for c in RECORDED if c["argv"][: len(argv_prefix)] == argv_prefix)
+
+
+# a few cases through the real entry point, the exit-2 one included
+ENTRY_POINT_PREFIXES = (["bs"], ["--json", "bs"], ["khom"], ["--json", "snf"], ["pv"], ["bs", "0"])
+ENTRY_POINT_CASES = [_first(prefix) for prefix in ENTRY_POINT_PREFIXES] if RECORDED else []
+
+
+@pytest.mark.parametrize("case", ENTRY_POINT_CASES, ids=[" ".join(c["argv"])[:50] for c in ENTRY_POINT_CASES])
+def test_entry_point_matches_recording(case, tmp_path):
+    """``python -m bs_ktheory`` in a fresh process prints what was recorded."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-m", "bs_ktheory", *_argv(case, tmp_path)],
+        env=env,
+        capture_output=True,
+        encoding="utf-8",
+        timeout=120,
+    )
+    assert {"stdout": done.stdout, "stderr": done.stderr, "code": done.returncode} == {
+        key: case[key] for key in ("stdout", "stderr", "code")
+    }
 
 
 def test_recording_covers_every_case():

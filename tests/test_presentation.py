@@ -40,7 +40,7 @@ class TestWord:
             w = Word(letters)
             assert Word(w.letters) == w
 
-    @pytest.mark.parametrize("letter", [(0, 1.9), (0.0, 1), (0, Fraction(2)), (0, "1")])
+    @pytest.mark.parametrize("letter", [(0, 1.9), (0.0, 1), (0, Fraction(2)), (0, "1"), (0, True), (False, 1)])
     def test_non_int_letters_rejected(self, letter):
         with pytest.raises(ValueError):
             Word((letter,))
