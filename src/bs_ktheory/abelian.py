@@ -8,9 +8,14 @@ uses Python ints, so the arithmetic is exact at any magnitude.
 
 There is one Smith-form core, ``_snf_ext``. It returns one result type,
 ``SnfDecomposition``: the diagonal, the unimodular transforms u and v, and
-their inverses, tracked during elimination rather than inverted after.
-``_split_diag`` reads the free and torsion coordinates off the diagonal
-for every caller.
+their inverses, tracked during elimination rather than inverted after and
+kept as the row lists the elimination produces. ``_split_diag`` reads the
+free and torsion coordinates off the diagonal for every caller.
+
+Records (``IntMatrix``, ``FgAbGroup``, ``GroupHom``) are validated on
+construction, so they are built only at the API boundary: for the input of
+each Smith form and for values that leave the module. Kernels, cokernels
+and ``solve`` work on plain rows in between.
 
 Conventions used throughout:
 
@@ -26,7 +31,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import lru_cache
-from itertools import chain
 from typing import NamedTuple, Sequence
 
 # ---------------------------------------------------------------------------
@@ -47,6 +51,8 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
 
     def __post_init__(self):
         rows, cols, entries = self
+        if type(rows) is not int or type(cols) is not int:
+            raise ValueError("matrix dimensions must be Python ints")
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(entries) != rows * cols:
@@ -92,19 +98,12 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
         return [list(self.row(i)) for i in range(self.rows)]
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.at(k, j) for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
+        return IntMatrix(self.rows, other.cols, _product(self, other))
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
-        return tuple(sum(self.row(i)[k] * vec[k] for k in range(self.cols)) for i in range(self.rows))
+        return tuple(sum(x * y for x, y in zip(self.row(i), vec)) for i in range(self.rows))
 
     def det(self) -> int:
         """Exact determinant via fraction-free (Bareiss) elimination."""
@@ -133,11 +132,17 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
         return sign * m[n - 1][n - 1]
 
 
-def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.rows != b.rows:
-        raise ValueError("row count mismatch in hstack")
-    rows = [list(a.row(i)) + list(b.row(i)) for i in range(a.rows)]
-    return IntMatrix.from_rows(rows, cols=a.cols + b.cols)
+def _product(a: IntMatrix, b: IntMatrix) -> tuple[int, ...]:
+    """The entries of a @ b, row-major, without building the matrix."""
+    if a.cols != b.rows:
+        raise ValueError("dimension mismatch in matrix product")
+    cols = [b.col(j) for j in range(b.cols)]
+    return tuple(sum(x * y for x, y in zip(a.row(i), col)) for i in range(a.rows) for col in cols)
+
+
+def _from_cols(cols: Sequence[Sequence[int]], rows: int) -> IntMatrix:
+    """The rows x len(cols) matrix with the given columns."""
+    return IntMatrix(rows, len(cols), tuple(col[i] for i in range(rows) for col in cols))
 
 
 def identity_minus(a: IntMatrix) -> IntMatrix:
@@ -157,18 +162,28 @@ class SnfDecomposition(NamedTuple):
     ``u`` and ``v`` are unimodular, and ``u @ u_inv`` and ``v @ v_inv`` are
     identities. ``diag`` is the diagonal of s: nonzero entries are positive,
     each divides the next, and zeros come last, so it runs units, then
-    torsion entries, then zeros. ``s`` itself is built from it on demand.
+    torsion entries, then zeros.
+
+    The transforms are stored as the row lists elimination leaves: the rows
+    of u (``u_rows``) and of v_inv (``vi``), and the columns of v (``vt``)
+    and of u_inv (``uit``). The matrices ``u``, ``v``, ``u_inv``, ``v_inv``
+    and ``s`` are built from them on each access.
     """
 
     diag: tuple[int, ...]
-    u: IntMatrix
-    v: IntMatrix
-    u_inv: IntMatrix
-    v_inv: IntMatrix
+    u_rows: list[list[int]]
+    vt: list[list[int]]
+    uit: list[list[int]]
+    vi: list[list[int]]
+
+    u = property(lambda self: IntMatrix.from_rows(self.u_rows))
+    v = property(lambda self: IntMatrix.from_rows([*zip(*self.vt)]))
+    u_inv = property(lambda self: IntMatrix.from_rows([*zip(*self.uit)]))
+    v_inv = property(lambda self: IntMatrix.from_rows(self.vi))
 
     @property
     def s(self) -> IntMatrix:
-        rows, cols = self.u.rows, self.v.rows
+        rows, cols = len(self.u_rows), len(self.vt)
         entries = [0] * (rows * cols)
         for i, d in enumerate(self.diag):
             entries[i * cols + i] = d
@@ -297,14 +312,7 @@ def _snf_ext(a: IntMatrix) -> SnfDecomposition:
             negate_row(t)
         t += 1
 
-    flat = chain.from_iterable
-    return SnfDecomposition(
-        tuple(m[i][i] for i in range(limit)),
-        IntMatrix(r, r, tuple(flat(u))),
-        IntMatrix(c, c, tuple(flat(zip(*vt)))),
-        IntMatrix(r, r, tuple(flat(zip(*uit)))),
-        IntMatrix(c, c, tuple(flat(vi))),
-    )
+    return SnfDecomposition(tuple(m[i][i] for i in range(limit)), u, vt, uit, vi)
 
 
 def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
@@ -356,6 +364,8 @@ class FgAbGroup(namedtuple("FgAbGroup", "free_rank torsion gen_names")):
 
     def __post_init__(self):
         free_rank, tors, names = self
+        if type(free_rank) is not int:
+            raise ValueError("free rank must be a Python int")
         if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
         if not {*map(type, tors)} <= {int}:
@@ -402,15 +412,6 @@ class FgAbGroup(namedtuple("FgAbGroup", "free_rank torsion gen_names")):
         for d in self.torsion:
             n *= d
         return n
-
-    def relation_matrix(self) -> IntMatrix:
-        """Columns spanning the relation lattice: d_j e_j per torsion gen."""
-        n = self.gen_count
-        cols = len(self.torsion)
-        entries = [0] * (n * cols)
-        for j, d in enumerate(self.torsion):
-            entries[(self.free_rank + j) * cols + j] = d
-        return IntMatrix(n, cols, tuple(entries))
 
     def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Canonical representative: torsion coordinates mod their order."""
@@ -541,46 +542,39 @@ def _unique_names(candidates: Sequence[str]) -> tuple[str, ...]:
 # kernels, cokernels, orders
 
 
+def _with_relations(rows: Sequence[Sequence[int]], cols: int, g: FgAbGroup) -> IntMatrix:
+    """[rows | d_j e_j per torsion generator of g], for ``rows`` with one row
+    per generator of g and ``cols`` columns: it spans them plus g's relations."""
+    r, t = g.free_rank, len(g.torsion)
+    entries: list[int] = []
+    for i, row in enumerate(rows):
+        entries += row
+        entries += [g.torsion[i - r] if j == i - r else 0 for j in range(t)]
+    return IntMatrix(len(rows), cols + t, tuple(entries))
+
+
 class _CokernelData(NamedTuple):
     group: FgAbGroup
-    projection: GroupHom
-    section: IntMatrix  # target gens x quotient gens; lifts quotient generators
+    target: FgAbGroup
+    proj: list[list[int]]  # rows of the projection: one per quotient generator
+    lifts: list[list[int]]  # lifts[j] is a target vector over quotient generator j
 
-
-def _normal_form_of_quotient(
-    ambient_count: int,
-    relation_cols: IntMatrix,
-    base_names: Sequence[str],
-    tag: str,
-) -> tuple[FgAbGroup, IntMatrix, IntMatrix]:
-    """Normal form of Z^ambient_count / column span of ``relation_cols``.
-
-    Returns (group, projection matrix, section matrix). The projection has
-    one row per surviving generator; the section is its right inverse up to
-    the dropped unit summands.
-    """
-    ext = _snf_ext(relation_cols)
-    free_idx, tors_idx = _split_diag(ext.diag, ambient_count)
-    kept = [*free_idx, *tors_idx]
-
-    torsion = tuple(ext.diag[i] for i in tors_idx)
-    proj_rows = [list(ext.u.row(i)) for i in kept]
-    proj = IntMatrix.from_rows(proj_rows, cols=ambient_count)
-    section_cols = [[ext.u_inv.at(i, j) for j in kept] for i in range(ambient_count)]
-    section = IntMatrix.from_rows(section_cols, cols=len(kept))
-
-    names = _dominant_names(proj_rows, base_names, tag)
-    group = FgAbGroup(len(free_idx), torsion, names)
-    return group, proj, section
+    projection = property(
+        lambda self: GroupHom(self.target, self.group, IntMatrix.from_rows(self.proj, cols=self.target.gen_count))
+    )
 
 
 def _cokernel_ext(h: GroupHom) -> _CokernelData:
-    relations = hstack(h.matrix, h.target.relation_matrix())
-    group, proj, section = _normal_form_of_quotient(
-        h.target.gen_count, relations, h.target.gen_names, QUOTIENT_TAG
-    )
-    projection = GroupHom(h.target, group, proj)
-    return _CokernelData(group, projection, section)
+    """Normal form of target / im(h): the projection has one row per kept
+    generator, and the lifts are its right inverse up to dropped unit summands."""
+    target = h.target
+    ext = _snf_ext(_with_relations(h.matrix.to_rows(), h.matrix.cols, target))
+    free_idx, tors_idx = _split_diag(ext.diag, target.gen_count)
+    kept = [*free_idx, *tors_idx]
+    proj = [ext.u_rows[i] for i in kept]
+    names = _dominant_names(proj, target.gen_names, QUOTIENT_TAG)
+    group = FgAbGroup(len(free_idx), tuple(ext.diag[i] for i in tors_idx), names)
+    return _CokernelData(group, target, proj, [ext.uit[i] for i in kept])
 
 
 def cokernel(h: GroupHom) -> tuple[FgAbGroup, GroupHom]:
@@ -597,40 +591,37 @@ def integer_kernel_basis(a: IntMatrix) -> list[tuple[int, ...]]:
     """A lattice basis of {x : a x = 0} over the integers."""
     ext = _snf_ext(a)
     free_idx, _ = _split_diag(ext.diag, a.cols)
-    return [ext.v.col(j) for j in free_idx]
+    return [tuple(ext.vt[j]) for j in free_idx]
 
 
 class _KernelData(NamedTuple):
     group: FgAbGroup
-    inclusion: GroupHom
+    source: FgAbGroup
+    gens: list[tuple[int, ...]]  # gens[j] is generator j as a source vector
+
+    inclusion = property(lambda self: GroupHom(self.group, self.source, _from_cols(self.gens, self.source.gen_count)))
 
 
 def _kernel_ext(h: GroupHom) -> _KernelData:
     n = h.source.gen_count
     # preimage lattice of the target relation lattice
-    a = hstack(h.matrix, h.target.relation_matrix())
+    a = _with_relations(h.matrix.to_rows(), h.matrix.cols, h.target)
     generators = [vec[:n] for vec in integer_kernel_basis(a)]
-    b = IntMatrix.from_rows([[g[i] for g in generators] for i in range(n)], cols=len(generators))
+    k = len(generators)
 
     # relations among those generators, modulo the source relation lattice
-    rel = hstack(b, h.source.relation_matrix())
-    rel_gens = [vec[: b.cols] for vec in integer_kernel_basis(rel)]
-    rel_mat = IntMatrix.from_rows([[g[i] for g in rel_gens] for i in range(b.cols)], cols=len(rel_gens))
+    b_rows = [[g[i] for g in generators] for i in range(n)]
+    rel_gens = [vec[:k] for vec in integer_kernel_basis(_with_relations(b_rows, k, h.source))]
 
-    ext = _snf_ext(rel_mat)
-    free_idx, tors_idx = _split_diag(ext.diag, b.cols)
-    kept = [*free_idx, *tors_idx]
-
-    inc_full = b @ ext.u_inv
-    inc_cols = [[inc_full.at(i, j) for j in kept] for i in range(n)]
-    inclusion_matrix = IntMatrix.from_rows(inc_cols, cols=len(kept))
-
+    ext = _snf_ext(_from_cols(rel_gens, k))
+    free_idx, tors_idx = _split_diag(ext.diag, k)
+    gens = [
+        tuple(sum(c * g[i] for c, g in zip(ext.uit[j], generators)) for i in range(n))
+        for j in (*free_idx, *tors_idx)
+    ]
     torsion = tuple(ext.diag[i] for i in tors_idx)
-    col_vectors = [inclusion_matrix.col(j) for j in range(len(kept))]
-    names = _dominant_names(col_vectors, h.source.gen_names, "")
-    group = FgAbGroup(len(free_idx), torsion, names)
-    inclusion = GroupHom(group, h.source, inclusion_matrix)
-    return _KernelData(group, inclusion)
+    group = FgAbGroup(len(free_idx), torsion, _dominant_names(gens, h.source.gen_names, ""))
+    return _KernelData(group, h.source, gens)
 
 
 def kernel(h: GroupHom) -> tuple[FgAbGroup, GroupHom]:
@@ -666,27 +657,24 @@ def solve(h: GroupHom, target_vec: Sequence[int]) -> tuple[int, ...] | None:
     """
     if len(target_vec) != h.target.gen_count:
         raise ValueError("vector length does not match target generator count")
-    a = hstack(h.matrix, h.target.relation_matrix())
-    ext = _snf_ext(a)
-    free_idx, _ = _split_diag(ext.diag, a.rows)
-    y = ext.u.apply(target_vec)
+    ext = _snf_ext(_with_relations(h.matrix.to_rows(), h.matrix.cols, h.target))
+    free_idx, _ = _split_diag(ext.diag, h.target.gen_count)
+    y = [sum(x * t for x, t in zip(row, target_vec)) for row in ext.u_rows]
     if any(y[i] for i in free_idx):
         return None
-    w = [0] * a.cols
+    w = [0] * len(ext.vt)
     for i, d in enumerate(ext.diag):
         if d:
             w[i], rem = divmod(y[i], d)
             if rem:
                 return None
-    x_full = ext.v.apply(w)
-    return tuple(x_full[: h.source.gen_count])
+    return tuple(sum(wk * col[i] for wk, col in zip(w, ext.vt)) for i in range(h.source.gen_count))
 
 
 def generates(g: FgAbGroup, vec: Sequence[int]) -> bool:
     """Does the cyclic subgroup generated by ``vec`` equal all of g?"""
     h = GroupHom(FgAbGroup.free(1, ("c",)), g, IntMatrix.column(g.reduce(vec)))
-    quotient, _ = cokernel(h)
-    return quotient.is_trivial
+    return _cokernel_ext(h).group.is_trivial
 
 
 # ---------------------------------------------------------------------------

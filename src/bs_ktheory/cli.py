@@ -208,23 +208,36 @@ def _load_matrix(literal_or_path: str) -> IntMatrix:
     return matrix_from_json(json.loads(text))
 
 
+def _without_digit_limit(render) -> str:
+    """``render()`` with the interpreter's limit on int-to-str digits lifted.
+
+    Computed integers, such as Smith transforms, can be far longer than any
+    input the limit lets through; input is still read under it.
+    """
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        return render()
+    saved = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        return render()
+    finally:
+        set_limit(saved)
+
+
 def _run_snf(args) -> int:
-    matrix = _load_matrix(args.matrix)
-    dec = smith_normal_form(matrix)
-    if args.json:
-        payload = {
-            "diag": list(dec.diag),
-            "s": matrix_to_json(dec.s),
-            "u": matrix_to_json(dec.u),
-            "v": matrix_to_json(dec.v),
-        }
-        _emit(_dump(payload), args.out)
-    else:
+    dec = smith_normal_form(_load_matrix(args.matrix))
+
+    def render() -> str:
+        if args.json:
+            return _dump({"diag": list(dec.diag), **{k: matrix_to_json(getattr(dec, k)) for k in "suv"}})
         lines = [f"diag: {list(dec.diag)}"]
-        for name, m in (("s", dec.s), ("u", dec.u), ("v", dec.v)):
+        for name in "suv":
             lines.append(f"{name} =")
-            lines.extend(f"  {row}" for row in m.to_rows())
-        _emit("\n".join(lines) + "\n", args.out)
+            lines.extend(f"  {row}" for row in getattr(dec, name).to_rows())
+        return "\n".join(lines) + "\n"
+
+    _emit(_without_digit_limit(render), args.out)
     return EXIT_OK
 
 

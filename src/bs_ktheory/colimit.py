@@ -22,12 +22,15 @@ from .abelian import (
     FgAbGroup,
     GroupHom,
     IntMatrix,
-    _basis_vec,
+    _CokernelData,
+    _KernelData,
     _cokernel_ext,
+    _from_cols,
+    _kernel_ext,
+    _product,
     group_from_json,
     group_to_json,
     json_int,
-    kernel,
     solve,
 )
 from .errors import InvariantViolation, StabilizationOverflow, UnsupportedColimitShape
@@ -143,7 +146,7 @@ class LadderMap(namedtuple("LadderMap", "source target rung")):
     def __new__(cls, source: ColimModule, target: ColimModule, rung: GroupHom):
         if rung.source != source.stage or rung.target != target.stage:
             raise ValueError("rung endpoints must match the stage groups")
-        if rung.matrix @ source.bond.matrix != target.bond.matrix @ rung.matrix:
+        if _product(rung.matrix, source.bond.matrix) != _product(target.bond.matrix, rung.matrix):
             raise ValueError("rung does not commute with the bonds")
         return tuple.__new__(cls, (source, target, rung))
 
@@ -155,36 +158,34 @@ def _stabilization_bound(g: FgAbGroup) -> int:
     return min(MAX_STABILIZATION_STEPS, g.free_rank + t.bit_length() + 2)
 
 
-def _stable_kernel(c: ColimModule) -> tuple[FgAbGroup, GroupHom]:
+def _stable_kernel(c: ColimModule) -> _KernelData:
     """ker(bond^N) for N large enough that the ascending chain has stopped."""
     bound = _stabilization_bound(c.stage)
-    prev_power = GroupHom.identity(c.stage)
+    prev, power = None, c.bond
     for _ in range(bound + 1):
-        power = c.bond.compose(prev_power)
-        k, inc = kernel(power)
-        if prev_power.compose(inc).is_zero():
-            # ker(bond^n) is contained in ker(bond^(n-1)): chain stopped
-            return k, inc
-        prev_power = power
-    raise StabilizationOverflow(
-        f"kernel chain of the bond did not stabilize within {bound} steps"
-    )
+        k = _kernel_ext(power)
+        # ker(bond^n) is contained in ker(bond^(n-1)): chain stopped
+        if not any(any(c.stage.reduce(g) if prev is None else prev.apply(g)) for g in k.gens):
+            return k
+        prev, power = power, GroupHom(c.stage, c.stage, c.bond.matrix @ power.matrix)
+    raise StabilizationOverflow(f"kernel chain of the bond did not stabilize within {bound} steps")
 
 
-def _induced_on_quotient(b: GroupHom, quotient: FgAbGroup, proj: GroupHom, section: IntMatrix) -> GroupHom:
-    return GroupHom(quotient, quotient, proj.matrix @ b.matrix @ section)
+def _induced_on_quotient(b: GroupHom, data: _CokernelData) -> list[list[int]]:
+    """Rows of the map b induces on the quotient: projection . b . lifts."""
+    images = [b.matrix.apply(lift) for lift in data.lifts]
+    return [[sum(x * y for x, y in zip(row, image)) for image in images] for row in data.proj]
 
 
-def _induced_on_subgroup(b: GroupHom, sub: FgAbGroup, inc: GroupHom) -> GroupHom:
+def _induced_on_subgroup(b: GroupHom, sub: _KernelData) -> GroupHom:
+    inc = sub.inclusion
     cols = []
-    for j in range(sub.gen_count):
-        image = b.apply(inc.apply(_basis_vec(sub.gen_count, j)))
-        x = solve(inc, image)
+    for g in sub.gens:
+        x = solve(inc, b.apply(g))
         if x is None:
             raise InvariantViolation("subgroup is not invariant under the map")
         cols.append(x)
-    matrix = IntMatrix.from_rows([[col[i] for col in cols] for i in range(sub.gen_count)], cols=len(cols))
-    return GroupHom(sub, sub, matrix)
+    return GroupHom(sub.group, sub.group, _from_cols(cols, sub.group.gen_count))
 
 
 def normalize(c: ColimModule) -> AbObject:
@@ -196,27 +197,24 @@ def normalize(c: ColimModule) -> AbObject:
     leaves the group itself, a rank-one bond gives a localization, anything
     of higher rank that is not invertible is rejected.
     """
-    k_inf, inc = _stable_kernel(c)
-    if k_inf.is_trivial:
-        quotient, bond = c.stage, c.bond
+    k_inf = _stable_kernel(c)
+    if k_inf.group.is_trivial:
+        quotient, bond = c.stage, c.bond.matrix.to_rows()
     else:
-        data = _cokernel_ext(inc)
-        quotient = data.group
-        bond = _induced_on_quotient(c.bond, quotient, data.projection, data.section)
+        data = _cokernel_ext(k_inf.inclusion)
+        quotient, bond = data.group, _induced_on_quotient(c.bond, data)
 
     r = quotient.free_rank
     if r == 0:
         return quotient
 
-    free_block = IntMatrix.from_rows(
-        [[bond.matrix.at(i, j) for j in range(r)] for i in range(r)], cols=r
-    )
-    if abs(free_block.det()) == 1:
+    free_block = [row[:r] for row in bond[:r]]
+    if abs(IntMatrix.from_rows(free_block).det()) == 1:
         return quotient
 
     torsion_part = FgAbGroup(0, quotient.torsion, quotient.gen_names[r:])
     if r == 1:
-        return LocObject(LocalizedInt(free_block.at(0, 0), quotient.gen_names[0]), torsion_part)
+        return LocObject(LocalizedInt(free_block[0][0], quotient.gen_names[0]), torsion_part)
 
     raise UnsupportedColimitShape(
         "free rank >= 2 with a non-invertible bond: the colimit is a sum of "
@@ -230,9 +228,8 @@ def ladder_kernel(m: LadderMap) -> AbObject:
     Filtered colimits are exact, so the kernel colimit is the colimit of the
     stage kernels with the restricted bond.
     """
-    k, inc = kernel(m.rung)
-    restricted = _induced_on_subgroup(m.source.bond, k, inc)
-    return normalize(ColimModule(k, restricted))
+    k = _kernel_ext(m.rung)
+    return normalize(ColimModule(k.group, _induced_on_subgroup(m.source.bond, k)))
 
 
 def ladder_cokernel(m: LadderMap) -> AbObject:
@@ -243,8 +240,9 @@ def ladder_cokernel(m: LadderMap) -> AbObject:
     the bond acting as multiplication by n collapses the n-primary part.
     """
     data = _cokernel_ext(m.rung)
-    induced = _induced_on_quotient(m.target.bond, data.group, data.projection, data.section)
-    return normalize(ColimModule(data.group, induced))
+    q = data.group
+    induced = IntMatrix.from_rows(_induced_on_quotient(m.target.bond, data), cols=q.gen_count)
+    return normalize(ColimModule(q, GroupHom(q, q, induced)))
 
 
 # ---------------------------------------------------------------------------

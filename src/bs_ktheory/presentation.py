@@ -259,11 +259,8 @@ def _abelianization_ext(p: Presentation) -> tuple[FgAbGroup, GroupHom]:
     relator_source = FgAbGroup.free(1, ("r",))
     h = GroupHom(relator_source, free, IntMatrix.column(exponent_vector(p)))
     data = _cokernel_ext(h)
-    rows = [list(data.projection.matrix.row(i)) for i in range(data.group.gen_count)]
-    names = _dominant_names(rows, p.generators, "")
-    group = data.group.renamed(names)
-    projection = GroupHom(free, group, data.projection.matrix)
-    return group, projection
+    group = data.group.renamed(_dominant_names(data.proj, p.generators, ""))
+    return group, GroupHom(free, group, IntMatrix.from_rows(data.proj, cols=m))
 
 
 def abelianization(p: Presentation) -> FgAbGroup:

@@ -168,7 +168,7 @@ def _fg_side(group: FgAbGroup, alpha: GroupHom) -> _Side:
     ker = _kernel_ext(d)
     return _Side(
         coinv=coker.group,
-        push=lambda vec: coker.projection.apply(vec),
+        push=coker.projection.apply,
         inv=ker.group,
         in_invariants=lambda vec: not any(d.apply(vec)),
         express=lambda vec: solve(ker.inclusion, vec),

@@ -3,9 +3,11 @@
 The oracles here are deliberately independent of the library's own
 algorithms: minors-gcd invariant factors for Smith form, brute-force
 element chasing on finite stages for colimits, and a letter-by-letter
-proper-power detector for relators. The one exception is
-``reference_snf_ext``, the earlier index-loop Smith form, kept to check the
-library's transforms entry for entry.
+proper-power detector for relators. The exceptions are references kept
+to check the library entry for entry: ``reference_snf_ext``, the earlier
+index-loop Smith form, and the earlier record-based kernel, cokernel,
+``solve`` and stable kernel, which built an ``IntMatrix`` for every
+intermediate step.
 """
 
 from __future__ import annotations
@@ -17,9 +19,11 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from bs_ktheory.abelian import FgAbGroup, GroupHom, IntMatrix
+from bs_ktheory.abelian import QUOTIENT_TAG, FgAbGroup, GroupHom, IntMatrix, _dominant_names, _snf_ext, _split_diag
+from bs_ktheory.colimit import ColimModule, _stabilization_bound
+from bs_ktheory.errors import StabilizationOverflow
 from bs_ktheory.presentation import Word
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -302,6 +306,152 @@ def reference_snf_ext(a: IntMatrix) -> _SnfExt:
         IntMatrix.from_rows(v, cols=c),
         IntMatrix.from_rows(ui, cols=r),
         IntMatrix.from_rows(vi, cols=c),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the record-based kernel, cokernel, solve and stable kernel: the library's
+# row-list versions must give the same groups, names, matrices and solutions.
+# Copied from the library as it was, with FgAbGroup.relation_matrix as a
+# function and the reference kernel in place of the library's.
+
+
+def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    if a.rows != b.rows:
+        raise ValueError("row count mismatch in hstack")
+    rows = [list(a.row(i)) + list(b.row(i)) for i in range(a.rows)]
+    return IntMatrix.from_rows(rows, cols=a.cols + b.cols)
+
+
+def relation_matrix(self: FgAbGroup) -> IntMatrix:
+    """Columns spanning the relation lattice: d_j e_j per torsion gen."""
+    n = self.gen_count
+    cols = len(self.torsion)
+    entries = [0] * (n * cols)
+    for j, d in enumerate(self.torsion):
+        entries[(self.free_rank + j) * cols + j] = d
+    return IntMatrix(n, cols, tuple(entries))
+
+
+class _CokernelData(NamedTuple):
+    group: FgAbGroup
+    projection: GroupHom
+    section: IntMatrix  # target gens x quotient gens; lifts quotient generators
+
+
+def _normal_form_of_quotient(
+    ambient_count: int,
+    relation_cols: IntMatrix,
+    base_names: Sequence[str],
+    tag: str,
+) -> tuple[FgAbGroup, IntMatrix, IntMatrix]:
+    """Normal form of Z^ambient_count / column span of ``relation_cols``.
+
+    Returns (group, projection matrix, section matrix). The projection has
+    one row per surviving generator; the section is its right inverse up to
+    the dropped unit summands.
+    """
+    ext = _snf_ext(relation_cols)
+    free_idx, tors_idx = _split_diag(ext.diag, ambient_count)
+    kept = [*free_idx, *tors_idx]
+
+    torsion = tuple(ext.diag[i] for i in tors_idx)
+    proj_rows = [list(ext.u.row(i)) for i in kept]
+    proj = IntMatrix.from_rows(proj_rows, cols=ambient_count)
+    section_cols = [[ext.u_inv.at(i, j) for j in kept] for i in range(ambient_count)]
+    section = IntMatrix.from_rows(section_cols, cols=len(kept))
+
+    names = _dominant_names(proj_rows, base_names, tag)
+    group = FgAbGroup(len(free_idx), torsion, names)
+    return group, proj, section
+
+
+def reference_cokernel_ext(h: GroupHom) -> _CokernelData:
+    relations = hstack(h.matrix, relation_matrix(h.target))
+    group, proj, section = _normal_form_of_quotient(
+        h.target.gen_count, relations, h.target.gen_names, QUOTIENT_TAG
+    )
+    projection = GroupHom(h.target, group, proj)
+    return _CokernelData(group, projection, section)
+
+
+def reference_integer_kernel_basis(a: IntMatrix) -> list[tuple[int, ...]]:
+    """A lattice basis of {x : a x = 0} over the integers."""
+    ext = _snf_ext(a)
+    free_idx, _ = _split_diag(ext.diag, a.cols)
+    return [ext.v.col(j) for j in free_idx]
+
+
+class _KernelData(NamedTuple):
+    group: FgAbGroup
+    inclusion: GroupHom
+
+
+def reference_kernel_ext(h: GroupHom) -> _KernelData:
+    n = h.source.gen_count
+    # preimage lattice of the target relation lattice
+    a = hstack(h.matrix, relation_matrix(h.target))
+    generators = [vec[:n] for vec in reference_integer_kernel_basis(a)]
+    b = IntMatrix.from_rows([[g[i] for g in generators] for i in range(n)], cols=len(generators))
+
+    # relations among those generators, modulo the source relation lattice
+    rel = hstack(b, relation_matrix(h.source))
+    rel_gens = [vec[: b.cols] for vec in reference_integer_kernel_basis(rel)]
+    rel_mat = IntMatrix.from_rows([[g[i] for g in rel_gens] for i in range(b.cols)], cols=len(rel_gens))
+
+    ext = _snf_ext(rel_mat)
+    free_idx, tors_idx = _split_diag(ext.diag, b.cols)
+    kept = [*free_idx, *tors_idx]
+
+    inc_full = b @ ext.u_inv
+    inc_cols = [[inc_full.at(i, j) for j in kept] for i in range(n)]
+    inclusion_matrix = IntMatrix.from_rows(inc_cols, cols=len(kept))
+
+    torsion = tuple(ext.diag[i] for i in tors_idx)
+    col_vectors = [inclusion_matrix.col(j) for j in range(len(kept))]
+    names = _dominant_names(col_vectors, h.source.gen_names, "")
+    group = FgAbGroup(len(free_idx), torsion, names)
+    inclusion = GroupHom(group, h.source, inclusion_matrix)
+    return _KernelData(group, inclusion)
+
+
+def reference_solve(h: GroupHom, target_vec: Sequence[int]) -> tuple[int, ...] | None:
+    """Some x with h(x) = target_vec in the target group, or None.
+
+    Solutions are sought over the source generators as an integer vector;
+    equality in the target is modulo its relation lattice.
+    """
+    if len(target_vec) != h.target.gen_count:
+        raise ValueError("vector length does not match target generator count")
+    a = hstack(h.matrix, relation_matrix(h.target))
+    ext = _snf_ext(a)
+    free_idx, _ = _split_diag(ext.diag, a.rows)
+    y = ext.u.apply(target_vec)
+    if any(y[i] for i in free_idx):
+        return None
+    w = [0] * a.cols
+    for i, d in enumerate(ext.diag):
+        if d:
+            w[i], rem = divmod(y[i], d)
+            if rem:
+                return None
+    x_full = ext.v.apply(w)
+    return tuple(x_full[: h.source.gen_count])
+
+
+def reference_stable_kernel(c: ColimModule) -> tuple[FgAbGroup, GroupHom]:
+    """ker(bond^N) for N large enough that the ascending chain has stopped."""
+    bound = _stabilization_bound(c.stage)
+    prev_power = GroupHom.identity(c.stage)
+    for _ in range(bound + 1):
+        power = c.bond.compose(prev_power)
+        k, inc = reference_kernel_ext(power)
+        if prev_power.compose(inc).is_zero():
+            # ker(bond^n) is contained in ker(bond^(n-1)): chain stopped
+            return k, inc
+        prev_power = power
+    raise StabilizationOverflow(
+        f"kernel chain of the bond did not stabilize within {bound} steps"
     )
 
 

@@ -142,6 +142,17 @@ class TestNoCoercion:
         with pytest.raises(ValueError):
             FgAbGroup(1, (2, Fraction(4)))
 
+    def test_bool_dimensions_rejected(self):
+        # the same type(x) is int rule as entries: True is not the integer 1
+        with pytest.raises(ValueError, match="Python ints"):
+            IntMatrix(True, True, (5,))
+        with pytest.raises(ValueError, match="Python ints"):
+            IntMatrix(1, 1.0, (5,))
+        with pytest.raises(ValueError, match="Python int"):
+            FgAbGroup(True)
+        with pytest.raises(ValueError, match="Python int"):
+            FgAbGroup(False, (), ())
+
     def test_bool_torsion_rejected(self):
         # a bool is below 2 as well; the message shows the type check caught it
         with pytest.raises(ValueError, match="Python ints"):

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from bs_ktheory.cli import main
+from bs_ktheory.abelian import IntMatrix
+from bs_ktheory.cli import _without_digit_limit, main
 from bs_ktheory.pv import bs_input, kinput_to_json
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -359,6 +360,35 @@ class TestSnf:
             code, out, err = run(capsys, "snf", literal)
             assert code == 2 and out == "", literal
             assert_one_line_error(err)
+
+
+class TestSnfHugeEntries:
+    """Computed transforms may be longer than the 4,300 digits Python
+    converts by default; input is still read under that limit."""
+
+    def test_prints_transforms_past_the_digit_limit(self, capsys):
+        rng = random.Random(11)
+        a = [[rng.choice((-1, 1)) * rng.randrange(10**1999, 10**2000) for _ in range(3)] for _ in range(3)]
+        literal = json.dumps(a)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run(capsys, "--json", "snf", literal)
+        assert code == 0, err
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        data = _without_digit_limit(lambda: json.loads(out))
+        assert max(abs(x) for row in data["u"] + data["v"] for x in row) >= 10**4300
+        u, s, v = (IntMatrix.from_rows(data[k]) for k in "usv")
+        assert u @ IntMatrix.from_rows(a) @ v == s
+        code, table, err = run(capsys, "snf", literal)
+        assert code == 0, err
+        for row in data["u"]:
+            assert _without_digit_limit(lambda: f"  {row}\n") in table
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit before Python 3.11")
+    def test_input_past_the_digit_limit_rejected(self, capsys):
+        literal = "[[" + "7" * 4301 + "]]"
+        code, out, err = run(capsys, "--json", "snf", literal)
+        assert code == 2 and out == ""
+        assert_one_line_error(err)
 
 
 class TestOutputContract:
