@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
-from pathlib import Path
 
 from . import bc as bc_mod
 from . import pv as pv_mod
-from .abelian import IntMatrix, group_to_json, matrix_from_json, matrix_to_json, smith_normal_form
+from .abelian import group_to_json, matrix_from_json, matrix_to_json, smith_normal_form
 from .errors import DomainError, UnresolvedExtension
 from .ledger import _order_text, ledger_to_json
 from .presentation import classifying_space_k, parse, presentation_homology
@@ -65,75 +65,62 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _read_text(path: str) -> str:
+    with open(path, encoding="utf-8") as f:
+        return f.read()
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+def _load_json(literal_or_path: str):
+    text = literal_or_path
+    if not text.lstrip().startswith("["):
+        if not os.path.exists(literal_or_path):
+            raise ValueError(f"no such file: {literal_or_path}")
+        text = _read_text(literal_or_path)
+    return json.loads(text)
 
 
-def _run_bs(args) -> int:
-    report = bc_mod.bc_compare(args.n)
-    if args.json:
-        _emit(_dump(bc_mod.report_to_json(report)), args.out)
-    else:
-        _emit(bc_mod.render_report(report) + "\n", args.out)
-    return EXIT_OK if report.verdict else EXIT_INVARIANT
+# Each handler takes its command's input and returns (exit code, JSON
+# payload, table form): a function rendering the table text, or None for a
+# command that always prints JSON.
 
 
-def _run_pv(args) -> int:
-    raw = Path(args.input_path).read_text(encoding="utf-8")
-    data = json.loads(raw)
-    kinput = pv_mod.kinput_from_json(data)
-    solution = pv_mod.pv_solve(kinput)
-    _emit(_dump(pv_mod.solution_to_json(solution)), args.out)
-    return EXIT_OK
+def _run_bs(n: int):
+    report = bc_mod.bc_compare(n)
+    code = EXIT_OK if report.verdict else EXIT_INVARIANT
+    return code, bc_mod.report_to_json(report), lambda: bc_mod.render_report(report) + "\n"
 
 
-def _run_homology(args) -> int:
-    hom = presentation_homology(parse(args.presentation))
-    if args.json:
-        payload = {
-            "h0": group_to_json(hom.h0),
-            "h1": group_to_json(hom.h1),
-            "h2": group_to_json(hom.h2),
-            "basepoint": hom.basepoint_gen,
-        }
-        _emit(_dump(payload), args.out)
-    else:
-        text = (
-            f"H0 = {hom.h0}  (basepoint generator {hom.basepoint_gen})\n"
-            f"H1 = {hom.h1}\n"
-            f"H2 = {hom.h2}\n"
-        )
-        _emit(text, args.out)
-    return EXIT_OK
+def _run_pv(data):
+    solution = pv_mod.pv_solve(pv_mod.kinput_from_json(data))
+    return EXIT_OK, pv_mod.solution_to_json(solution), None
 
 
-def _run_khom(args) -> int:
-    k0, k1, ledger = classifying_space_k(parse(args.presentation))
-    if args.json:
-        payload = {
-            "k0": group_to_json(k0),
-            "k1": group_to_json(k1),
-            "ledger": ledger_to_json(ledger),
-        }
-        _emit(_dump(payload), args.out)
-    else:
-        lines = [f"K0 = {k0}", f"K1 = {k1}", "classes:"]
-        for symbol in ledger.symbols():
-            entry = ledger[symbol]
-            order = _order_text(entry.order)
-            lines.append(f"  {symbol:6} in {entry.location}: coeffs {list(entry.vector)}, order {order}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+def _run_homology(presentation):
+    hom = presentation_homology(presentation)
+    payload = {
+        "h0": group_to_json(hom.h0),
+        "h1": group_to_json(hom.h1),
+        "h2": group_to_json(hom.h2),
+        "basepoint": hom.basepoint_gen,
+    }
+    return EXIT_OK, payload, lambda: (
+        f"H0 = {hom.h0}  (basepoint generator {hom.basepoint_gen})\n"
+        f"H1 = {hom.h1}\n"
+        f"H2 = {hom.h2}\n"
+    )
 
 
-def _run_pair(args) -> int:
+def _run_khom(presentation):
+    k0, k1, ledger = classifying_space_k(presentation)
+    payload = {"k0": group_to_json(k0), "k1": group_to_json(k1), "ledger": ledger_to_json(ledger)}
+    return EXIT_OK, payload, lambda: f"K0 = {k0}\nK1 = {k1}\nclasses:\n" + "".join(
+        f"  {symbol:6} in {ledger[symbol].location}: coeffs {list(ledger[symbol].vector)}, "
+        f"order {_order_text(ledger[symbol].order)}\n"
+        for symbol in sorted(ledger)
+    )
+
+
+def _run_pair(args):
     if args.n == 0:
         raise DomainError("the solenoid parameter must be nonzero")
     if args.depth < 0 or args.trials < 0:
@@ -173,93 +160,88 @@ def _run_pair(args) -> int:
         else:
             failed += 1
 
-    summary = (
+    payload = {
+        "n": args.n,
+        "depth": args.depth,
+        "seed": args.seed,
+        "trials": args.trials,
+        "passed": passed,
+        "failed": failed,
+        "skipped": skipped,
+    }
+    # these identities are theorems; a failure means the implementation is wrong
+    return EXIT_INVARIANT if failed else EXIT_OK, payload, lambda: (
         f"pairing checks for n={args.n} (depth {args.depth}, seed {args.seed}, "
         f"trials {args.trials})\n  passed: {passed}  failed: {failed}  skipped: {skipped}\n"
     )
-    if args.json:
-        _emit(
-            _dump(
-                {
-                    "n": args.n,
-                    "depth": args.depth,
-                    "seed": args.seed,
-                    "trials": args.trials,
-                    "passed": passed,
-                    "failed": failed,
-                    "skipped": skipped,
-                }
-            ),
-            args.out,
-        )
-    else:
-        _emit(summary, args.out)
-    # these identities are theorems; a failure means the implementation is wrong
-    return EXIT_INVARIANT if failed else EXIT_OK
 
 
-def _load_matrix(literal_or_path: str) -> IntMatrix:
-    text = literal_or_path
-    if not text.lstrip().startswith("["):
-        path = Path(literal_or_path)
-        if not path.exists():
-            raise ValueError(f"no such file: {literal_or_path}")
-        text = path.read_text(encoding="utf-8")
-    return matrix_from_json(json.loads(text))
+def _run_snf(data):
+    dec = smith_normal_form(matrix_from_json(data))
+    payload = {"diag": list(dec.diag), **{k: matrix_to_json(getattr(dec, k)) for k in "suv"}}
+    return EXIT_OK, payload, lambda: f"diag: {payload['diag']}\n" + "".join(
+        f"{k} =\n" + "".join(f"  {row}\n" for row in payload[k]) for k in "suv"
+    )
 
 
-def _without_digit_limit(render) -> str:
-    """``render()`` with the interpreter's limit on int-to-str digits lifted.
+# command -> (read its input from the arguments, handler)
+COMMANDS = {
+    "bs": (lambda args: args.n, _run_bs),
+    "pv": (lambda args: json.loads(_read_text(args.input_path)), _run_pv),
+    "homology": (lambda args: parse(args.presentation), _run_homology),
+    "khom": (lambda args: parse(args.presentation), _run_khom),
+    "pair": (lambda args: args, _run_pair),
+    "snf": (lambda args: _load_json(args.matrix), _run_snf),
+}
 
-    Computed integers, such as Smith transforms, can be far longer than any
-    input the limit lets through; input is still read under it.
+
+def _without_digit_limit(compute):
+    """``compute()`` with the interpreter's limit on int-to-str digits lifted.
+
+    Computed integers can be far longer than any input the limit lets
+    through. The limit is restored however ``compute`` exits.
     """
     set_limit = getattr(sys, "set_int_max_str_digits", None)
     if set_limit is None:
-        return render()
+        return compute()
     saved = sys.get_int_max_str_digits()
     set_limit(0)
     try:
-        return render()
+        return compute()
     finally:
         set_limit(saved)
 
 
-def _run_snf(args) -> int:
-    dec = smith_normal_form(_load_matrix(args.matrix))
-
-    def render() -> str:
-        if args.json:
-            return _dump({"diag": list(dec.diag), **{k: matrix_to_json(getattr(dec, k)) for k in "suv"}})
-        lines = [f"diag: {list(dec.diag)}"]
-        for name in "suv":
-            lines.append(f"{name} =")
-            lines.extend(f"  {row}" for row in getattr(dec, name).to_rows())
-        return "\n".join(lines) + "\n"
-
-    _emit(_without_digit_limit(render), args.out)
-    return EXIT_OK
+def _respond(args, run, data) -> int:
+    """Run a handler and write its result to stdout or ``--out``: the table
+    text, or the JSON payload under ``--json`` or when there is no table form.
+    An unresolved extension prints its partial data as JSON and exits 4."""
+    try:
+        code, payload, table = run(data)
+    except UnresolvedExtension as exc:
+        code, table = EXIT_UNRESOLVED, None
+        payload = {"error": "unresolved extension", "message": str(exc), "partial": exc.partial}
+    if table is None or args.json:
+        text = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    else:
+        text = table()
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as f:
+            f.write(text)
+    else:
+        sys.stdout.write(text)
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:
     if hasattr(sys.stdout, "reconfigure"):
         sys.stdout.reconfigure(encoding="utf-8")
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "bs": _run_bs,
-        "pv": _run_pv,
-        "homology": _run_homology,
-        "khom": _run_khom,
-        "pair": _run_pair,
-        "snf": _run_snf,
-    }
+    args = build_parser().parse_args(argv)
+    read, run = COMMANDS[args.command]
     try:
-        return handlers[args.command](args)
-    except UnresolvedExtension as exc:
-        payload = {"error": "unresolved extension", "message": str(exc), "partial": exc.partial}
-        _emit(_dump(payload), args.out)
-        return EXIT_UNRESOLVED
+        # input, like argv, is read under the digit limit; all that follows is not
+        data = read(args)
+        return _without_digit_limit(lambda: _respond(args, run, data))
     except (ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USER_ERROR

@@ -35,8 +35,6 @@ from .abelian import (
 )
 from .errors import InvariantViolation, StabilizationOverflow, UnsupportedColimitShape
 
-MAX_STABILIZATION_STEPS = 64
-
 
 class LocalizedInt(namedtuple("LocalizedInt", "n symbol")):
     """Z[1/n]: the colimit of Z along multiplication by n.
@@ -152,10 +150,16 @@ class LadderMap(namedtuple("LadderMap", "source target rung")):
 
 
 def _stabilization_bound(g: FgAbGroup) -> int:
+    """Steps after which ker(f^k) stops growing, for any self-map f of g.
+
+    f injects each quotient ker(f^(k+1))/ker(f^k) into the one before, so at
+    most free_rank of them are infinite; past those, f^k embeds the rest of
+    the chain in the torsion, so the finite steps multiply to at most its order.
+    """
     t = 1
     for d in g.torsion:
         t *= d
-    return min(MAX_STABILIZATION_STEPS, g.free_rank + t.bit_length() + 2)
+    return g.free_rank + t.bit_length() + 2
 
 
 def _stable_kernel(c: ColimModule) -> _KernelData:

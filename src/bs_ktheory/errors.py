@@ -12,14 +12,6 @@ class UnsupportedColimitShape(ValueError):
     group or as a single localization of the integers plus torsion."""
 
 
-class StabilizationOverflow(RuntimeError):
-    """A kernel chain failed to stabilize within the hard iteration cap.
-
-    Noetherian stabilization is guaranteed, so hitting this means a bug;
-    the cap converts a silent loop into a diagnosable error.
-    """
-
-
 class UnresolvedExtension(RuntimeError):
     """A six-term extension problem could not be resolved soundly.
 
@@ -61,6 +53,14 @@ class InvariantViolation(AssertionError):
 
     Raised explicitly rather than by ``assert``, so the check still runs
     under ``python -O``; as an ``AssertionError`` it keeps the CLI's exit 3.
+    """
+
+
+class StabilizationOverflow(InvariantViolation):
+    """A kernel chain failed to stabilize within its proven length bound.
+
+    Noetherian stabilization is guaranteed within that bound, so hitting
+    this means a bug; the bound converts a silent loop into exit 3.
     """
 
 

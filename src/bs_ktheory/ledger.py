@@ -46,9 +46,6 @@ class KClassLedger(Mapping):
     def __iter__(self) -> Iterator[str]:
         return iter(self._entries)
 
-    def symbols(self) -> list[str]:
-        return sorted(self._entries)
-
     def with_entry(self, symbol: str, entry: KClass) -> "KClassLedger":
         new = dict(self._entries)
         new[symbol] = entry

@@ -95,15 +95,11 @@ class KInput(namedtuple("KInput", "k0 k1 alpha0 alpha1 ledger")):
         if unit is None or unit.location != "k0" or unit.vector is None:
             raise ValueError('the ledger must locate "[1]" in k0')
         if isinstance(k0, FgAbGroup):
-            if len(unit.vector) != k0.gen_count:
-                raise ValueError('"[1]" vector length does not match k0')
             if element_order(k0, unit.vector) != math.inf:
                 raise ValueError('"[1]" must have infinite order (unital algebra)')
             if alpha0.apply(unit.vector) != k0.reduce(unit.vector):
                 raise ValueError("alpha0 must fix the unit class")
         else:
-            if len(unit.vector) != 1:
-                raise ValueError('"[1]" vector over a localization has one coordinate')
             if unit.vector[0] == 0:
                 raise ValueError('"[1]" must be nonzero')
             r = alpha0.rung.matrix.at(0, 0)
@@ -159,7 +155,7 @@ class _Side(NamedTuple):
     inv: FgAbGroup
     in_invariants: Callable[[tuple[int, ...]], bool]
     express: Callable[[tuple[int, ...]], tuple[int, ...] | None]
-    killed_note: str
+    killed_note: Callable[[], str]  # called only when a class is killed
 
 
 def _fg_side(group: FgAbGroup, alpha: GroupHom) -> _Side:
@@ -172,7 +168,7 @@ def _fg_side(group: FgAbGroup, alpha: GroupHom) -> _Side:
         inv=ker.group,
         in_invariants=lambda vec: not any(d.apply(vec)),
         express=lambda vec: solve(ker.inclusion, vec),
-        killed_note="killed by the coinvariants projection",
+        killed_note=lambda: "killed by the coinvariants projection",
     )
 
 
@@ -214,7 +210,7 @@ def _loc_side(obj: LocObject, alpha: LadderMap, degree: int) -> _Side:
         inv=inv,
         in_invariants=lambda vec: vec[0] * c == 0,
         express=lambda vec: () if vec[0] == 0 else None,
-        killed_note=f"order divides {abs(c)} (coinvariants of multiplication by {c})",
+        killed_note=lambda: f"order divides {abs(c)} (coinvariants of multiplication by {c})",
     )
 
 
@@ -346,7 +342,7 @@ def pv_solve(kinput: KInput, apply_boundary_rule: bool = True) -> PvSolution:
         if entry.location in pushforward:
             side, seq, group, location = pushforward[entry.location]
             vec = seq.embed_sub(side.push(entry.vector))
-            note = side.killed_note if (not any(vec) and any(entry.vector)) else ""
+            note = side.killed_note() if (not any(vec) and any(entry.vector)) else ""
             out = out.with_entry(symbol, KClass(location, vec, element_order(group, vec), note))
         elif entry.location == "unitary":
             if u_vector is not None:

@@ -57,6 +57,12 @@ class TestCompare:
                 sol.k1_crossed, sol.ledger_out["[b]"].vector
             )
 
+    def test_parameter_past_the_digit_limit(self):
+        # 1 - n has 4,301 digits; the comparison formats none of its integers
+        report = bc_compare(-(10**4300 - 1))
+        assert report.verdict
+        assert report.rhs_k1.torsion == (10**4300,)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             bc_compare(0)

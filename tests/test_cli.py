@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,16 @@ class TestBs:
         code, out, _ = run(capsys, "bs", "-1")
         assert code == 0
         assert "K1 = Z + Z/2" in out
+
+
+# coinvariants Z + Z/4 under a free quotient Z/2 on the other side: exit 4
+UNRESOLVED = {
+    "k0": {"kind": "fg", "group": {"free_rank": 1, "torsion": [4], "gens": ["1", "t"]}},
+    "k1": {"kind": "fg", "group": {"free_rank": 1, "torsion": [], "gens": ["w"]}},
+    "alpha0": {"matrix": [[1, 0], [0, 1]]},
+    "alpha1": {"matrix": [[3]]},
+    "ledger": {"[1]": {"group": "k0", "coeffs": [1, 0], "order": "inf"}},
+}
 
 
 class TestPv:
@@ -157,15 +168,8 @@ class TestPv:
         assert code == 2
 
     def test_unresolved_extension_exit_code(self, capsys, tmp_path):
-        payload = {
-            "k0": {"kind": "fg", "group": {"free_rank": 1, "torsion": [4], "gens": ["1", "t"]}},
-            "k1": {"kind": "fg", "group": {"free_rank": 1, "torsion": [], "gens": ["w"]}},
-            "alpha0": {"matrix": [[1, 0], [0, 1]]},
-            "alpha1": {"matrix": [[3]]},
-            "ledger": {"[1]": {"group": "k0", "coeffs": [1, 0], "order": "inf"}},
-        }
         path = tmp_path / "unresolved.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        path.write_text(json.dumps(UNRESOLVED), encoding="utf-8")
         code, out, _ = run(capsys, "pv", str(path))
         assert code == 4
         data = json.loads(out)
@@ -391,6 +395,101 @@ class TestSnfHugeEntries:
         assert_one_line_error(err)
 
 
+TEN_TO_4300 = "1" + "0" * 4300
+needs_digit_limit = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit before Python 3.11")
+
+
+def localized_input(tmp_path, n: int, rung: int) -> str:
+    """A ``bsk pv`` file for Z on [1] and Z[1/n] acted on by ``rung``."""
+    payload = kinput_to_json(bs_input(n))
+    payload["alpha1"]["rung"] = rung
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+class TestComputedPastTheDigitLimit:
+    """Input is read under the interpreter's 4,300-digit limit; what is
+    computed from it prints at any size."""
+
+    def test_bs_table_and_json(self, capsys):
+        n = "-" + "9" * 4300
+        code, out, err = run(capsys, "bs", "--", n)
+        assert code == 0, err
+        assert f"K1 = Z + Z/{TEN_TO_4300}\n" in out and "verdict: ISOMORPHIC" in out
+        code, out, err = run(capsys, "--json", "bs", "--", n)
+        assert code == 0, err
+        data = _without_digit_limit(lambda: json.loads(out))
+        assert (data["rhs"]["k1"]["free_rank"], data["rhs"]["k1"]["torsion"]) == (1, [10**4300])
+        assert data["verdict"] is True
+
+    def test_pv_killed_class_note(self, capsys, tmp_path):
+        code, out, err = run(capsys, "pv", localized_input(tmp_path, 10**2150, 1 - 10**4300))
+        assert code == 0, err
+        note = json.loads(out)["ledger"]["[b]"]["note"]
+        assert note == f"order divides {TEN_TO_4300} (coinvariants of multiplication by {TEN_TO_4300})"
+
+    @needs_digit_limit
+    def test_pv_rung_past_the_digit_limit_rejected(self, capsys, tmp_path):
+        path = _without_digit_limit(lambda: localized_input(tmp_path, 2, -int("7" * 4301)))
+        code, out, err = run(capsys, "pv", path)
+        assert code == 2 and out == ""
+        assert_one_line_error(err)
+
+    @needs_digit_limit
+    def test_khom_exponent_past_the_digit_limit_rejected(self, capsys):
+        code, out, err = run(capsys, "khom", "<a,b | a^" + "7" * 4301 + " b>")
+        assert code == 2 and out == ""
+        assert_one_line_error(err)
+
+    @needs_digit_limit
+    def test_limit_restored_on_every_exit(self, capsys, tmp_path, monkeypatch):
+        unresolved = tmp_path / "unresolved.json"
+        unresolved.write_text(json.dumps(UNRESOLVED), encoding="utf-8")
+        cases = (
+            (["bs", "5"], 0),
+            (["bs", "0"], 2),
+            (["snf", "[[" + "7" * 5000 + "]]"], 2),
+            (["pv", str(unresolved)], 4),
+            (["bs", "7"], 3),
+        )
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4321)
+        try:
+            for argv, expected in cases:
+                if expected == 3:
+                    # a wrong closed form fails the staged colimit check
+                    monkeypatch.setattr("bs_ktheory.pv.coprime_part", lambda c, n: abs(c) + 1)
+                assert main(argv) == expected, argv
+                assert sys.get_int_max_str_digits() == 4321, argv
+        finally:
+            sys.set_int_max_str_digits(saved)
+        capsys.readouterr()
+
+
+class TestStabilization:
+    def test_long_chain(self, capsys, tmp_path):
+        # coinvariants Z/2^70 with the bond doubling: 70 steps to stabilize
+        code, out, err = run(capsys, "pv", localized_input(tmp_path, 2, 1 - 2**70))
+        assert code == 0, err
+        data = json.loads(out)
+        assert data["k0_crossed"]["free_rank"] == data["k1_crossed"]["free_rank"] == 1
+        assert data["k0_crossed"]["torsion"] == data["k1_crossed"]["torsion"] == []
+
+    def test_thousand_steps_in_time(self, capsys, tmp_path):
+        path = localized_input(tmp_path, 2, 1 - 2**1000)
+        start = time.perf_counter()
+        code, _, err = run(capsys, "pv", path)
+        assert code == 0, err
+        assert time.perf_counter() - start < 2
+
+    def test_bound_reached_exits_3_with_one_line(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr("bs_ktheory.colimit._stabilization_bound", lambda g: 0)
+        code, out, err = run(capsys, "pv", localized_input(tmp_path, 2, 1 - 2**70))
+        assert code == 3 and out == ""
+        assert err.startswith("internal inconsistency: kernel chain") and err.count("\n") == 1
+
+
 class TestOutputContract:
     def test_determinism(self, capsys):
         first = run(capsys, "--json", "bs", "7")
@@ -429,11 +528,12 @@ class TestHugeExponentsInProcess:
 
 class TestStartup:
     def test_no_dataclass_machinery_imported(self):
-        """A ``bsk`` call pays for no ``dataclasses`` import and what it pulls in."""
+        """A ``bsk`` call pays for no ``dataclasses`` import and what it pulls
+        in, and for no ``pathlib``."""
         code = (
             "import sys, bs_ktheory, bs_ktheory.cli\n"
             "bs_ktheory.cli.main(['bs', '5'])\n"
-            "print(sorted(m for m in ('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules))"
+            "print(sorted(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'pathlib') if m in sys.modules))"
         )
         env = dict(os.environ, PYTHONPATH=str(SRC))
         done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=120)
