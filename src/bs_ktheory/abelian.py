@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import NamedTuple, Sequence
 
 # ---------------------------------------------------------------------------
 # integer matrices
@@ -156,7 +156,7 @@ def identity_minus(a: IntMatrix) -> IntMatrix:
 # Smith normal form
 
 
-class SnfDecomposition(NamedTuple):
+class SnfDecomposition(namedtuple("SnfDecomposition", "diag u_rows vt uit vi")):
     """A Smith normal form u @ a @ v = s with both inverse transforms.
 
     ``u`` and ``v`` are unimodular, and ``u @ u_inv`` and ``v @ v_inv`` are
@@ -169,6 +169,8 @@ class SnfDecomposition(NamedTuple):
     and of u_inv (``uit``). The matrices ``u``, ``v``, ``u_inv``, ``v_inv``
     and ``s`` are built from them on each access.
     """
+
+    __slots__ = ()
 
     diag: tuple[int, ...]
     u_rows: list[list[int]]
@@ -553,7 +555,9 @@ def _with_relations(rows: Sequence[Sequence[int]], cols: int, g: FgAbGroup) -> I
     return IntMatrix(len(rows), cols + t, tuple(entries))
 
 
-class _CokernelData(NamedTuple):
+class _CokernelData(namedtuple("_CokernelData", "group target proj lifts")):
+    __slots__ = ()
+
     group: FgAbGroup
     target: FgAbGroup
     proj: list[list[int]]  # rows of the projection: one per quotient generator
@@ -594,7 +598,9 @@ def integer_kernel_basis(a: IntMatrix) -> list[tuple[int, ...]]:
     return [tuple(ext.vt[j]) for j in free_idx]
 
 
-class _KernelData(NamedTuple):
+class _KernelData(namedtuple("_KernelData", "group source gens")):
+    __slots__ = ()
+
     group: FgAbGroup
     source: FgAbGroup
     gens: list[tuple[int, ...]]  # gens[j] is generator j as a source vector

@@ -11,7 +11,7 @@ copied across.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .abelian import FgAbGroup, element_order, generates, group_to_json, is_isomorphic
 from .errors import DomainError, UnspecifiedTraceValue
@@ -27,7 +27,9 @@ MATCHING_ASSUMPTIONS = (
 )
 
 
-class MatchLine(NamedTuple):
+class MatchLine(namedtuple("MatchLine", "lhs_symbol rhs_symbol order_lhs order_rhs matched")):
+    __slots__ = ()
+
     lhs_symbol: str
     rhs_symbol: str
     order_lhs: int | float
@@ -35,7 +37,15 @@ class MatchLine(NamedTuple):
     matched: bool
 
 
-class BcReport(NamedTuple):
+class BcReport(
+    namedtuple(
+        "BcReport",
+        "n lhs_k0 lhs_k1 rhs_k0 rhs_k1 generator_matches verdict trace_image assumptions",
+        defaults=(MATCHING_ASSUMPTIONS,),
+    )
+):
+    __slots__ = ()
+
     n: int
     lhs_k0: FgAbGroup
     lhs_k1: FgAbGroup
@@ -44,7 +54,7 @@ class BcReport(NamedTuple):
     generator_matches: tuple[MatchLine, ...]
     verdict: bool
     trace_image: str
-    assumptions: tuple[str, ...] = MATCHING_ASSUMPTIONS
+    assumptions: tuple[str, ...]  # defaults to MATCHING_ASSUMPTIONS
 
 
 def trace_image(solution: PvSolution) -> str:

@@ -12,16 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 
-from . import bc as bc_mod
-from . import pv as pv_mod
-from .abelian import group_to_json, matrix_from_json, matrix_to_json, smith_normal_form
 from .errors import DomainError, UnresolvedExtension
-from .ledger import _order_text, ledger_to_json
-from .presentation import classifying_space_k, parse, presentation_homology
-from .solenoid import NadicRational, duality_check, pairing, pairing_raw, random_point
 
 EXIT_OK = 0
 EXIT_USER_ERROR = 2
@@ -79,23 +72,37 @@ def _load_json(literal_or_path: str):
     return json.loads(text)
 
 
+def _parse_presentation(args):
+    from .presentation import parse
+
+    return parse(args.presentation)
+
+
 # Each handler takes its command's input and returns (exit code, JSON
 # payload, table form): a function rendering the table text, or None for a
-# command that always prints JSON.
+# command that always prints JSON. A handler imports the modules it runs,
+# so a call loads only its own command's part of the package.
 
 
 def _run_bs(n: int):
-    report = bc_mod.bc_compare(n)
+    from .bc import bc_compare, render_report, report_to_json
+
+    report = bc_compare(n)
     code = EXIT_OK if report.verdict else EXIT_INVARIANT
-    return code, bc_mod.report_to_json(report), lambda: bc_mod.render_report(report) + "\n"
+    return code, report_to_json(report), lambda: render_report(report) + "\n"
 
 
 def _run_pv(data):
-    solution = pv_mod.pv_solve(pv_mod.kinput_from_json(data))
-    return EXIT_OK, pv_mod.solution_to_json(solution), None
+    from .pv import kinput_from_json, pv_solve, solution_to_json
+
+    solution = pv_solve(kinput_from_json(data))
+    return EXIT_OK, solution_to_json(solution), None
 
 
 def _run_homology(presentation):
+    from .abelian import group_to_json
+    from .presentation import presentation_homology
+
     hom = presentation_homology(presentation)
     payload = {
         "h0": group_to_json(hom.h0),
@@ -111,6 +118,10 @@ def _run_homology(presentation):
 
 
 def _run_khom(presentation):
+    from .abelian import group_to_json
+    from .ledger import _order_text, ledger_to_json
+    from .presentation import classifying_space_k
+
     k0, k1, ledger = classifying_space_k(presentation)
     payload = {"k0": group_to_json(k0), "k1": group_to_json(k1), "ledger": ledger_to_json(ledger)}
     return EXIT_OK, payload, lambda: f"K0 = {k0}\nK1 = {k1}\nclasses:\n" + "".join(
@@ -121,11 +132,15 @@ def _run_khom(presentation):
 
 
 def _run_pair(args):
+    from random import Random
+
+    from .solenoid import NadicRational, duality_check, pairing, pairing_raw, random_point
+
     if args.n == 0:
         raise DomainError("the solenoid parameter must be nonzero")
     if args.depth < 0 or args.trials < 0:
         raise DomainError("depth and trials must be nonnegative")
-    rng = random.Random(args.seed)
+    rng = Random(args.seed)
     passed = failed = skipped = 0
     # elements stay within the point's depth; at depth 0 deeper denominators
     # are generated on purpose so the skip policy is exercised
@@ -177,6 +192,8 @@ def _run_pair(args):
 
 
 def _run_snf(data):
+    from .abelian import matrix_from_json, matrix_to_json, smith_normal_form
+
     dec = smith_normal_form(matrix_from_json(data))
     payload = {"diag": list(dec.diag), **{k: matrix_to_json(getattr(dec, k)) for k in "suv"}}
     return EXIT_OK, payload, lambda: f"diag: {payload['diag']}\n" + "".join(
@@ -188,8 +205,8 @@ def _run_snf(data):
 COMMANDS = {
     "bs": (lambda args: args.n, _run_bs),
     "pv": (lambda args: json.loads(_read_text(args.input_path)), _run_pv),
-    "homology": (lambda args: parse(args.presentation), _run_homology),
-    "khom": (lambda args: parse(args.presentation), _run_khom),
+    "homology": (_parse_presentation, _run_homology),
+    "khom": (_parse_presentation, _run_khom),
     "pair": (lambda args: args, _run_pair),
     "snf": (lambda args: _load_json(args.matrix), _run_snf),
 }

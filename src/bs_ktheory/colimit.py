@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Union
 
 from .abelian import (
     FgAbGroup,
@@ -118,7 +117,7 @@ class LocObject(namedtuple("LocObject", "loc torsion")):
         return self.describe()
 
 
-AbObject = Union[FgAbGroup, LocObject]
+AbObject = FgAbGroup | LocObject
 
 
 class ColimModule(namedtuple("ColimModule", "stage bond")):

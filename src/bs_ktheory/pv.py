@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Callable, NamedTuple, Union
+from collections.abc import Callable
 
 from .abelian import (
     QUOTIENT_TAG,
@@ -57,7 +57,7 @@ from .colimit import (
 from .errors import DomainError, InvariantViolation, UnresolvedExtension
 from .ledger import KClass, KClassLedger, ledger_from_json, ledger_to_json
 
-SelfMap = Union[GroupHom, LadderMap]
+SelfMap = GroupHom | LadderMap
 
 
 class KInput(namedtuple("KInput", "k0 k1 alpha0 alpha1 ledger")):
@@ -92,7 +92,7 @@ class KInput(namedtuple("KInput", "k0 k1 alpha0 alpha1 ledger")):
                             f"but the class has order {true_order}"
                         )
         unit = ledger.get("[1]")
-        if unit is None or unit.location != "k0" or unit.vector is None:
+        if unit is None or unit.location != "k0":
             raise ValueError('the ledger must locate "[1]" in k0')
         if isinstance(k0, FgAbGroup):
             if element_order(k0, unit.vector) != math.inf:
@@ -129,8 +129,10 @@ def _check_side(k: AbObject, alpha: SelfMap, label: str) -> None:
         raise ValueError(f"unsupported representation for {label}")
 
 
-class SeqRecord(NamedTuple):
+class SeqRecord(namedtuple("SeqRecord", "sub middle quotient split section")):
     """One of the two short exact sequences, with how it was resolved."""
+
+    __slots__ = ()
 
     sub: FgAbGroup
     middle: FgAbGroup
@@ -139,7 +141,9 @@ class SeqRecord(NamedTuple):
     section: str
 
 
-class PvSolution(NamedTuple):
+class PvSolution(namedtuple("PvSolution", "k0_crossed k1_crossed ledger_out seq0 seq1")):
+    __slots__ = ()
+
     k0_crossed: FgAbGroup
     k1_crossed: FgAbGroup
     ledger_out: KClassLedger
@@ -147,8 +151,10 @@ class PvSolution(NamedTuple):
     seq1: SeqRecord
 
 
-class _Side(NamedTuple):
+class _Side(namedtuple("_Side", "coinv push inv in_invariants express killed_note")):
     """Coinvariants and invariants of Id - alpha_* in one degree."""
+
+    __slots__ = ()
 
     coinv: FgAbGroup
     push: Callable[[tuple[int, ...]], tuple[int, ...]]
@@ -170,6 +176,17 @@ def _fg_side(group: FgAbGroup, alpha: GroupHom) -> _Side:
         express=lambda vec: solve(ker.inclusion, vec),
         killed_note=lambda: "killed by the coinvariants projection",
     )
+
+
+def _digits(c: int) -> str:
+    """The decimal digits of ``c``, also past the interpreter's limit on
+    int-to-str conversion, which a solve must not fail on."""
+    try:
+        return str(c)
+    except ValueError:
+        from decimal import Decimal  # converts without that limit
+
+        return str(Decimal(c))
 
 
 def _loc_side(obj: LocObject, alpha: LadderMap, degree: int) -> _Side:
@@ -210,7 +227,7 @@ def _loc_side(obj: LocObject, alpha: LadderMap, degree: int) -> _Side:
         inv=inv,
         in_invariants=lambda vec: vec[0] * c == 0,
         express=lambda vec: () if vec[0] == 0 else None,
-        killed_note=lambda: f"order divides {abs(c)} (coinvariants of multiplication by {c})",
+        killed_note=lambda: f"order divides {_digits(abs(c))} (coinvariants of multiplication by {_digits(c)})",
     )
 
 
@@ -225,7 +242,9 @@ def _make_side(k: AbObject, alpha: SelfMap, degree: int) -> _Side:
     return _loc_side(k, alpha, degree)
 
 
-class _Assembled(NamedTuple):
+class _Assembled(namedtuple("_Assembled", "record embed_sub embed_quot quot_free_at")):
+    __slots__ = ()
+
     record: SeqRecord
     embed_sub: Callable[[tuple[int, ...]], tuple[int, ...]]
     embed_quot: Callable[[tuple[int, ...]], tuple[int, ...]]

@@ -526,6 +526,18 @@ class TestHugeExponentsInProcess:
         assert "proper power" in done.stderr
 
 
+def last_line_of_clean_interpreter(code: str) -> str:
+    """The last line ``code`` prints in a fresh ``python -S``, which loads no
+    site packages, so ``sys.modules`` shows what the package itself imports."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
+PACKAGE_MODULES = "print(sorted(m for m in sys.modules if m.startswith('bs_ktheory.')))"
+
+
 class TestStartup:
     def test_no_dataclass_machinery_imported(self):
         """A ``bsk`` call pays for no ``dataclasses`` import and what it pulls
@@ -535,7 +547,21 @@ class TestStartup:
             "bs_ktheory.cli.main(['bs', '5'])\n"
             "print(sorted(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'pathlib') if m in sys.modules))"
         )
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "[]"
+        assert last_line_of_clean_interpreter(code) == "[]"
+
+    def test_package_import_loads_no_module(self):
+        assert last_line_of_clean_interpreter("import sys, bs_ktheory\n" + PACKAGE_MODULES) == "[]"
+
+    def test_snf_loads_only_abelian(self):
+        code = "import sys\nfrom bs_ktheory.cli import main\nmain(['snf', '[[2,4],[6,8]]'])\n" + PACKAGE_MODULES
+        expected = ["bs_ktheory.abelian", "bs_ktheory.cli", "bs_ktheory.errors"]
+        assert last_line_of_clean_interpreter(code) == str(expected)
+
+    def test_bs_loads_nothing_of_the_solenoid(self):
+        """``bsk bs`` imports neither ``typing`` nor what only ``bsk pair`` runs."""
+        unused = ("typing", "fractions", "decimal", "random", "pathlib", "bs_ktheory.solenoid")
+        code = (
+            "import sys\nfrom bs_ktheory.cli import main\nmain(['bs', '5'])\n"
+            f"print(sorted(m for m in {unused!r} if m in sys.modules))"
+        )
+        assert last_line_of_clean_interpreter(code) == "[]"

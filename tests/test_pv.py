@@ -1,10 +1,11 @@
 import math
 import random
+import sys
 
 import pytest
 
 from bs_ktheory.abelian import FgAbGroup, GroupHom, IntMatrix, is_isomorphic
-from bs_ktheory.colimit import LocObject
+from bs_ktheory.colimit import LadderMap, LocObject
 from bs_ktheory.errors import DomainError, UnresolvedExtension
 from bs_ktheory.ledger import KClass, KClassLedger
 from bs_ktheory.pv import (
@@ -233,12 +234,29 @@ class TestGenericSolves:
     def test_localized_identity_action_refused(self):
         inp = bs_input(2)
         rung_one = GroupHom(inp.alpha1.source.stage, inp.alpha1.source.stage, IntMatrix(1, 1, (1,)))
-        from bs_ktheory.colimit import LadderMap
-
         alpha1 = LadderMap(inp.alpha1.source, inp.alpha1.target, rung_one)
         bad = KInput(inp.k0, inp.k1, inp.alpha0, alpha1, inp.ledger)
         with pytest.raises(UnresolvedExtension):
             pv_solve(bad)
+
+
+class TestPastTheDigitLimit:
+    def test_killed_class_note_in_process(self):
+        """A solve called from Python, under the interpreter's default limit
+        on int-to-str digits, still writes the note of a class it kills."""
+        if hasattr(sys, "get_int_max_str_digits"):
+            assert 0 < sys.get_int_max_str_digits() <= 4300
+        # on Z[1/10^2150], 1 - rung = 10^4300 has 4,301 digits and kills [b]
+        inp = bs_input(10**2150)
+        stage = inp.alpha1.source.stage
+        rung = GroupHom(stage, stage, IntMatrix(1, 1, (1 - 10**4300,)))
+        alpha1 = LadderMap(inp.alpha1.source, inp.alpha1.target, rung)
+        sol = pv_solve(KInput(inp.k0, inp.k1, inp.alpha0, alpha1, inp.ledger))
+        ten_to_4300 = "1" + "0" * 4300
+        assert sol.ledger_out["[b]"].vector == (0,)
+        assert sol.ledger_out["[b]"].note == (
+            f"order divides {ten_to_4300} (coinvariants of multiplication by {ten_to_4300})"
+        )
 
 
 class TestJson:
