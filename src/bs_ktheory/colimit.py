@@ -162,16 +162,41 @@ def _stabilization_bound(g: FgAbGroup) -> int:
 
 
 def _stable_kernel(c: ColimModule) -> _KernelData:
-    """ker(bond^N) for N large enough that the ascending chain has stopped."""
+    """ker(bond^(s+1)) for the least s with ker(bond^(s+1)) = ker(bond^s).
+
+    That equality holds for every i >= s and for no i < s, so s is found by
+    doubling and then bisecting, with powers by squaring: the cost grows
+    with the digits of the stabilization bound, not with the bound.
+    """
+    k = _kernel_ext(c.bond)
+    if not any(any(c.stage.reduce(g)) for g in k.gens):
+        return k  # s = 0: the bond is injective
     bound = _stabilization_bound(c.stage)
-    prev, power = None, c.bond
-    for _ in range(bound + 1):
-        k = _kernel_ext(power)
-        # ker(bond^n) is contained in ker(bond^(n-1)): chain stopped
-        if not any(any(c.stage.reduce(g) if prev is None else prev.apply(g)) for g in k.gens):
-            return k
-        prev, power = power, GroupHom(c.stage, c.stage, c.bond.matrix @ power.matrix)
-    raise StabilizationOverflow(f"kernel chain of the bond did not stabilize within {bound} steps")
+
+    def power(e: int) -> IntMatrix:
+        result, square = IntMatrix.identity(c.stage.gen_count), c.bond.matrix
+        while e:
+            if e & 1:
+                result = square @ result
+            square, e = square @ square, e >> 1
+        return result
+
+    def kernel_if_stopped(i: int) -> _KernelData | None:
+        prev = power(i)
+        k = _kernel_ext(GroupHom(c.stage, c.stage, c.bond.matrix @ prev))
+        return None if any(any(c.stage.reduce(prev.apply(g))) for g in k.gens) else k
+
+    lo, hi, found = 0, None, None  # the chain stops at hi and not at lo
+    while hi is None or hi - lo > 1:
+        if hi is None and lo >= bound:
+            raise StabilizationOverflow(f"kernel chain of the bond did not stabilize within {bound} steps")
+        mid = min(2 * lo + 1, bound) if hi is None else (lo + hi) // 2
+        k = kernel_if_stopped(mid)
+        if k is None:
+            lo = mid
+        else:
+            hi, found = mid, k
+    return found
 
 
 def _induced_on_quotient(b: GroupHom, data: _CokernelData) -> list[list[int]]:

@@ -120,6 +120,7 @@ class ComplexHomology(namedtuple("ComplexHomology", "h0 h1 h2 basepoint_gen h1_p
 
 
 _SYMBOLS = "<>|,=^"
+_DIGITS = "0123456789"  # str.isdigit also accepts other scripts' digits
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -142,9 +143,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append(("ident", text[i:j], i))
             i = j
             continue
-        if ch.isdigit() or ch in "+-":
+        if ch in _DIGITS or ch in "+-":
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             lit = text[i:j]
             if lit in "+-":

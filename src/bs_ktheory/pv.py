@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Callable
 
 from .abelian import (
     QUOTIENT_TAG,
     FgAbGroup,
     GroupHom,
     IntMatrix,
+    _KernelData,
     _cokernel_ext,
     _kernel_ext,
     _unique_names,
@@ -151,31 +151,38 @@ class PvSolution(namedtuple("PvSolution", "k0_crossed k1_crossed ledger_out seq0
     seq1: SeqRecord
 
 
-class _Side(namedtuple("_Side", "coinv push inv in_invariants express killed_note")):
-    """Coinvariants and invariants of Id - alpha_* in one degree."""
+class _Side(namedtuple("_Side", "coinv proj inv d ker c")):
+    """Coinvariants and invariants of Id - alpha_* in one degree, as data.
+
+    ``proj`` holds the rows of the projection onto the coinvariants ``coinv``;
+    ``inv`` is the invariants. A finitely generated side keeps ``d`` = Id -
+    alpha_* and its kernel data ``ker`` for the unit guard, and ``c`` is None.
+    A localized side keeps the multiplier ``c`` = 1 - r for the note on a
+    killed class, and ``d`` and ``ker`` are None: the unit guard never reads
+    them there, since a unital ``alpha0`` on a localization has rung 1, which
+    ``_loc_side`` rejects first.
+    """
 
     __slots__ = ()
 
     coinv: FgAbGroup
-    push: Callable[[tuple[int, ...]], tuple[int, ...]]
+    proj: list[list[int]]
     inv: FgAbGroup
-    in_invariants: Callable[[tuple[int, ...]], bool]
-    express: Callable[[tuple[int, ...]], tuple[int, ...] | None]
-    killed_note: Callable[[], str]  # called only when a class is killed
+    d: GroupHom | None
+    ker: _KernelData | None
+    c: int | None
 
 
 def _fg_side(group: FgAbGroup, alpha: GroupHom) -> _Side:
     d = GroupHom(group, group, identity_minus(alpha.matrix))
     coker = _cokernel_ext(d)
     ker = _kernel_ext(d)
-    return _Side(
-        coinv=coker.group,
-        push=coker.projection.apply,
-        inv=ker.group,
-        in_invariants=lambda vec: not any(d.apply(vec)),
-        express=lambda vec: solve(ker.inclusion, vec),
-        killed_note=lambda: "killed by the coinvariants projection",
-    )
+    return _Side(coker.group, coker.proj, ker.group, d, ker, None)
+
+
+def _push(side: _Side, vec: tuple[int, ...]) -> tuple[int, ...]:
+    """The image of ``vec`` in the coinvariants."""
+    return side.coinv.reduce([sum(x * y for x, y in zip(row, vec)) for row in side.proj])
 
 
 def _digits(c: int) -> str:
@@ -187,6 +194,12 @@ def _digits(c: int) -> str:
         from decimal import Decimal  # converts without that limit
 
         return str(Decimal(c))
+
+
+def _killed_note(side: _Side) -> str:
+    if side.c is None:
+        return "killed by the coinvariants projection"
+    return f"order divides {_digits(abs(side.c))} (coinvariants of multiplication by {_digits(side.c)})"
 
 
 def _loc_side(obj: LocObject, alpha: LadderMap, degree: int) -> _Side:
@@ -201,11 +214,9 @@ def _loc_side(obj: LocObject, alpha: LadderMap, degree: int) -> _Side:
         )
     cp = coprime_part(c, loc.n)
     if cp > 1:
-        coinv = FgAbGroup(0, (cp,), (loc.symbol + QUOTIENT_TAG,))
-        push = lambda vec: (vec[0] % cp,)
+        coinv, proj = FgAbGroup(0, (cp,), (loc.symbol + QUOTIENT_TAG,)), [[1]]
     else:
-        coinv = FgAbGroup.trivial()
-        push = lambda vec: ()
+        coinv, proj = FgAbGroup.trivial(), []
 
     # cross-check the closed form against the staged colimit computation
     d_ladder = LadderMap(
@@ -220,15 +231,7 @@ def _loc_side(obj: LocObject, alpha: LadderMap, degree: int) -> _Side:
     if not (isinstance(staged_kernel, FgAbGroup) and staged_kernel.is_trivial):
         raise InvariantViolation("staged kernel of Id - alpha on a localization is not trivial")
 
-    inv = FgAbGroup.trivial()
-    return _Side(
-        coinv=coinv,
-        push=push,
-        inv=inv,
-        in_invariants=lambda vec: vec[0] * c == 0,
-        express=lambda vec: () if vec[0] == 0 else None,
-        killed_note=lambda: f"order divides {_digits(abs(c))} (coinvariants of multiplication by {_digits(c)})",
-    )
+    return _Side(coinv, proj, FgAbGroup.trivial(), None, None, c)
 
 
 def _make_side(k: AbObject, alpha: SelfMap, degree: int) -> _Side:
@@ -242,42 +245,32 @@ def _make_side(k: AbObject, alpha: SelfMap, degree: int) -> _Side:
     return _loc_side(k, alpha, degree)
 
 
-class _Assembled(namedtuple("_Assembled", "record embed_sub embed_quot quot_free_at")):
-    __slots__ = ()
+def _assemble(sub: FgAbGroup, quot: FgAbGroup, label: str) -> SeqRecord:
+    """The middle of 0 -> sub -> middle -> quot -> 0 where it is sound.
 
-    record: SeqRecord
-    embed_sub: Callable[[tuple[int, ...]], tuple[int, ...]]
-    embed_quot: Callable[[tuple[int, ...]], tuple[int, ...]]
-    quot_free_at: int  # index of the first quotient coordinate
-
-
-def _assemble(sub: FgAbGroup, quot: FgAbGroup, label: str) -> _Assembled:
+    Its generators are the subobject's free ones, then the quotient's, then
+    the subobject's torsion ones, which ``_in_middle`` relies on.
+    """
     if quot.is_trivial:
-        record = SeqRecord(sub, sub, quot, True, "trivial quotient: middle is the subobject")
-        return _Assembled(record, lambda v: tuple(v), lambda v: sub.zero(), sub.free_rank)
+        return SeqRecord(sub, sub, quot, True, "trivial quotient: middle is the subobject")
     if sub.is_trivial:
-        record = SeqRecord(sub, quot, quot, True, "trivial subobject: middle is the quotient")
-        return _Assembled(record, lambda v: quot.zero(), lambda v: tuple(v), 0)
+        return SeqRecord(sub, quot, quot, True, "trivial subobject: middle is the quotient")
     if not quot.torsion:
-        rs, rq, ts = sub.free_rank, quot.free_rank, len(sub.torsion)
-        names = _unique_names(
-            list(sub.gen_names[:rs]) + list(quot.gen_names) + list(sub.gen_names[rs:])
-        )
-        middle = FgAbGroup(rs + rq, sub.torsion, names)
-
-        def embed_sub(v: tuple[int, ...]) -> tuple[int, ...]:
-            return tuple(v[:rs]) + (0,) * rq + tuple(v[rs:])
-
-        def embed_quot(v: tuple[int, ...]) -> tuple[int, ...]:
-            return (0,) * rs + tuple(v) + (0,) * ts
-
-        record = SeqRecord(sub, middle, quot, True, "free quotient: projective, so the sequence splits")
-        return _Assembled(record, embed_sub, embed_quot, rs)
+        rs = sub.free_rank
+        names = _unique_names([*sub.gen_names[:rs], *quot.gen_names, *sub.gen_names[rs:]])
+        middle = FgAbGroup(rs + quot.free_rank, sub.torsion, names)
+        return SeqRecord(sub, middle, quot, True, "free quotient: projective, so the sequence splits")
     raise UnresolvedExtension(
         f"{label}: quotient {quot.describe()} is neither trivial nor free; "
         "refusing to guess the extension",
         partial={"sequence": label, "sub": group_to_json(sub), "quotient": group_to_json(quot)},
     )
+
+
+def _in_middle(seq: SeqRecord, sub_vec: tuple[int, ...], quot_vec: tuple[int, ...]) -> tuple[int, ...]:
+    """The middle vector of a subobject vector plus a lift of a quotient vector."""
+    rs = seq.sub.free_rank
+    return (*sub_vec[:rs], *quot_vec, *sub_vec[rs:])
 
 
 def _audit(record: SeqRecord) -> None:
@@ -321,68 +314,40 @@ def pv_solve(kinput: KInput, apply_boundary_rule: bool = True) -> PvSolution:
 
     seq0 = _assemble(side0.coinv, side1.inv, "degree-0 sequence")
     seq1 = _assemble(side1.coinv, side0.inv, "degree-1 sequence")
-    _audit(seq0.record)
-    _audit(seq1.record)
+    _audit(seq0)
+    _audit(seq1)
 
-    k0_crossed = seq0.record.middle
-    k1_crossed = seq1.record.middle
-    seq1_record = seq1.record
-
-    unit = ledger["[1]"]
-    unitary_symbols = sorted(sym for sym, e in ledger.items() if e.location == "unitary")
-
-    out = KClassLedger()
     u_vector: tuple[int, ...] | None = None
-    if apply_boundary_rule and unitary_symbols:
+    if apply_boundary_rule:
         # alpha is unital, so [1] is invariant; guarded rather than assumed
-        if not side0.in_invariants(unit.vector):
+        unit = ledger["[1]"].vector
+        if any(side0.d.apply(unit)):
             raise InvariantViolation("unital automorphism must fix [1]")
-        expressed = side0.express(unit.vector)
+        expressed = solve(side0.ker.inclusion, unit)
         if expressed is None:
             raise InvariantViolation("[1] is invariant but not in the image of the invariants")
-        u_vector = seq1.embed_quot(tuple(-x for x in expressed))
-        quot = seq1.record.quotient
-        if (
-            quot.free_rank == 1
-            and not quot.torsion
-            and len(expressed) == 1
-            and abs(expressed[0]) == 1
-            and "u" not in k1_crossed.gen_names
-        ):
-            names = list(k1_crossed.gen_names)
-            names[seq1.quot_free_at] = "u"
-            k1_crossed = k1_crossed.renamed(names)
-            seq1_record = SeqRecord(
-                seq1.record.sub, k1_crossed, seq1.record.quotient, seq1.record.split, seq1.record.section
-            )
+        u_vector = _in_middle(seq1, seq1.sub.zero(), tuple(-x for x in expressed))
+        quot, names = seq1.quotient, list(seq1.middle.gen_names)
+        if quot.free_rank == 1 and not quot.torsion and abs(expressed[0]) == 1 and "u" not in names:
+            names[seq1.sub.free_rank] = "u"
+            seq1 = seq1._replace(middle=seq1.middle.renamed(names))
 
-    pushforward = {"k0": (side0, seq0, k0_crossed, "crossed0"), "k1": (side1, seq1, k1_crossed, "crossed1")}
+    out = KClassLedger()
+    crossed = {"k0": (side0, seq0, "crossed0"), "k1": (side1, seq1, "crossed1")}
     for symbol, entry in sorted(ledger.items()):
-        if entry.location in pushforward:
-            side, seq, group, location = pushforward[entry.location]
-            vec = seq.embed_sub(side.push(entry.vector))
-            note = side.killed_note() if (not any(vec) and any(entry.vector)) else ""
-            out = out.with_entry(symbol, KClass(location, vec, element_order(group, vec), note))
+        if entry.location in crossed:
+            side, seq, location = crossed[entry.location]
+            vec = _in_middle(seq, _push(side, entry.vector), seq.quotient.zero())
+            note = _killed_note(side) if (not any(vec) and any(entry.vector)) else ""
+            entry = KClass(location, vec, element_order(seq.middle, vec), note)
+        elif entry.location == "unitary" and u_vector is not None:
+            order = element_order(seq1.middle, u_vector)
+            entry = KClass("crossed1", u_vector, order, "section generator over [1]; boundary image is -[1]")
         elif entry.location == "unitary":
-            if u_vector is not None:
-                out = out.with_entry(
-                    symbol,
-                    KClass(
-                        "crossed1",
-                        u_vector,
-                        element_order(k1_crossed, u_vector),
-                        "section generator over [1]; boundary image is -[1]",
-                    ),
-                )
-            else:
-                out = out.with_entry(
-                    symbol,
-                    KClass("crossed1", None, None, "boundary rule disabled: order undetermined"),
-                )
-        else:
-            out = out.with_entry(symbol, entry)
+            entry = KClass("crossed1", None, None, "boundary rule disabled: order undetermined")
+        out = out.with_entry(symbol, entry)
 
-    return PvSolution(k0_crossed, k1_crossed, out, seq0.record, seq1_record)
+    return PvSolution(seq0.middle, seq1.middle, out, seq0, seq1)
 
 
 def bs_input(n: int) -> KInput:

@@ -7,7 +7,8 @@ proper-power detector for relators. The exceptions are references kept
 to check the library entry for entry: ``reference_snf_ext``, the earlier
 index-loop Smith form, and the earlier record-based kernel, cokernel,
 ``solve`` and stable kernel, which built an ``IntMatrix`` for every
-intermediate step.
+intermediate step, and the earlier six-term solver, which kept each side
+and each extension as closures.
 """
 
 from __future__ import annotations
@@ -17,13 +18,42 @@ import math
 import os
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Callable
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from bs_ktheory.abelian import QUOTIENT_TAG, FgAbGroup, GroupHom, IntMatrix, _dominant_names, _snf_ext, _split_diag
-from bs_ktheory.colimit import ColimModule, _stabilization_bound
-from bs_ktheory.errors import StabilizationOverflow
+from bs_ktheory.abelian import (
+    QUOTIENT_TAG,
+    FgAbGroup,
+    GroupHom,
+    IntMatrix,
+    _cokernel_ext,
+    _dominant_names,
+    _kernel_ext,
+    _snf_ext,
+    _split_diag,
+    _unique_names,
+    element_order,
+    group_to_json,
+    identity_minus,
+    is_isomorphic,
+    solve,
+)
+from bs_ktheory.colimit import (
+    AbObject,
+    ColimModule,
+    LadderMap,
+    LocObject,
+    _stabilization_bound,
+    ab_to_json,
+    coprime_part,
+    ladder_cokernel,
+    ladder_kernel,
+)
+from bs_ktheory.errors import InvariantViolation, StabilizationOverflow, UnresolvedExtension
+from bs_ktheory.ledger import KClass, KClassLedger
+from bs_ktheory.pv import KInput, PvSolution, SelfMap, SeqRecord, _audit, _digits, boundary_rule
 from bs_ktheory.presentation import Word
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -453,6 +483,211 @@ def reference_stable_kernel(c: ColimModule) -> tuple[FgAbGroup, GroupHom]:
     raise StabilizationOverflow(
         f"kernel chain of the bond did not stabilize within {bound} steps"
     )
+
+
+# ---------------------------------------------------------------------------
+# the closure-based six-term solver: the library's solver on plain data must
+# give the same solution, or raise the same error, on every input. Copied
+# from the library as it was, with pv_solve renamed reference_pv_solve.
+
+
+class _Side(namedtuple("_Side", "coinv push inv in_invariants express killed_note")):
+    """Coinvariants and invariants of Id - alpha_* in one degree."""
+
+    __slots__ = ()
+
+    coinv: FgAbGroup
+    push: Callable[[tuple[int, ...]], tuple[int, ...]]
+    inv: FgAbGroup
+    in_invariants: Callable[[tuple[int, ...]], bool]
+    express: Callable[[tuple[int, ...]], tuple[int, ...] | None]
+    killed_note: Callable[[], str]  # called only when a class is killed
+
+
+def _fg_side(group: FgAbGroup, alpha: GroupHom) -> _Side:
+    d = GroupHom(group, group, identity_minus(alpha.matrix))
+    coker = _cokernel_ext(d)
+    ker = _kernel_ext(d)
+    return _Side(
+        coinv=coker.group,
+        push=coker.projection.apply,
+        inv=ker.group,
+        in_invariants=lambda vec: not any(d.apply(vec)),
+        express=lambda vec: solve(ker.inclusion, vec),
+        killed_note=lambda: "killed by the coinvariants projection",
+    )
+
+
+def _loc_side(obj: LocObject, alpha: LadderMap, degree: int) -> _Side:
+    loc = obj.loc
+    r = alpha.rung.matrix.at(0, 0)
+    c = 1 - r
+    if c == 0:
+        raise UnresolvedExtension(
+            f"Id - alpha vanishes on {loc.describe()}: coinvariants and "
+            "invariants are the whole localization, which is not finitely generated",
+            partial={"degree": degree, "group": ab_to_json(obj)},
+        )
+    cp = coprime_part(c, loc.n)
+    if cp > 1:
+        coinv = FgAbGroup(0, (cp,), (loc.symbol + QUOTIENT_TAG,))
+        push = lambda vec: (vec[0] % cp,)
+    else:
+        coinv = FgAbGroup.trivial()
+        push = lambda vec: ()
+
+    # cross-check the closed form against the staged colimit computation
+    d_ladder = LadderMap(
+        alpha.source,
+        alpha.target,
+        GroupHom(alpha.source.stage, alpha.target.stage, IntMatrix(1, 1, (c,))),
+    )
+    staged = ladder_cokernel(d_ladder)
+    if not (isinstance(staged, FgAbGroup) and is_isomorphic(staged, coinv)):
+        raise InvariantViolation("staged cokernel disagrees with the coprime-part closed form")
+    staged_kernel = ladder_kernel(d_ladder)
+    if not (isinstance(staged_kernel, FgAbGroup) and staged_kernel.is_trivial):
+        raise InvariantViolation("staged kernel of Id - alpha on a localization is not trivial")
+
+    inv = FgAbGroup.trivial()
+    return _Side(
+        coinv=coinv,
+        push=push,
+        inv=inv,
+        in_invariants=lambda vec: vec[0] * c == 0,
+        express=lambda vec: () if vec[0] == 0 else None,
+        killed_note=lambda: f"order divides {_digits(abs(c))} (coinvariants of multiplication by {_digits(c)})",
+    )
+
+
+def _make_side(k: AbObject, alpha: SelfMap, degree: int) -> _Side:
+    if isinstance(k, LocObject) and k.loc.is_degenerate:
+        # Z[1/(+-1)] is Z itself: fold into the finitely generated branch
+        group = k.loc.as_group()
+        r = alpha.rung.matrix.at(0, 0)
+        return _fg_side(group, GroupHom(group, group, IntMatrix(1, 1, (r,))))
+    if isinstance(k, FgAbGroup):
+        return _fg_side(k, alpha)
+    return _loc_side(k, alpha, degree)
+
+
+class _Assembled(namedtuple("_Assembled", "record embed_sub embed_quot quot_free_at")):
+    __slots__ = ()
+
+    record: SeqRecord
+    embed_sub: Callable[[tuple[int, ...]], tuple[int, ...]]
+    embed_quot: Callable[[tuple[int, ...]], tuple[int, ...]]
+    quot_free_at: int  # index of the first quotient coordinate
+
+
+def _assemble(sub: FgAbGroup, quot: FgAbGroup, label: str) -> _Assembled:
+    if quot.is_trivial:
+        record = SeqRecord(sub, sub, quot, True, "trivial quotient: middle is the subobject")
+        return _Assembled(record, lambda v: tuple(v), lambda v: sub.zero(), sub.free_rank)
+    if sub.is_trivial:
+        record = SeqRecord(sub, quot, quot, True, "trivial subobject: middle is the quotient")
+        return _Assembled(record, lambda v: quot.zero(), lambda v: tuple(v), 0)
+    if not quot.torsion:
+        rs, rq, ts = sub.free_rank, quot.free_rank, len(sub.torsion)
+        names = _unique_names(
+            list(sub.gen_names[:rs]) + list(quot.gen_names) + list(sub.gen_names[rs:])
+        )
+        middle = FgAbGroup(rs + rq, sub.torsion, names)
+
+        def embed_sub(v: tuple[int, ...]) -> tuple[int, ...]:
+            return tuple(v[:rs]) + (0,) * rq + tuple(v[rs:])
+
+        def embed_quot(v: tuple[int, ...]) -> tuple[int, ...]:
+            return (0,) * rs + tuple(v) + (0,) * ts
+
+        record = SeqRecord(sub, middle, quot, True, "free quotient: projective, so the sequence splits")
+        return _Assembled(record, embed_sub, embed_quot, rs)
+    raise UnresolvedExtension(
+        f"{label}: quotient {quot.describe()} is neither trivial nor free; "
+        "refusing to guess the extension",
+        partial={"sequence": label, "sub": group_to_json(sub), "quotient": group_to_json(quot)},
+    )
+
+
+def reference_pv_solve(kinput: KInput, apply_boundary_rule: bool = True) -> PvSolution:
+    """Solve the six-term sequence for the crossed product by Z.
+
+    Resolves both short exact sequences, pushes every tracked class of the
+    coefficient algebra forward into the crossed-product groups through the
+    coinvariants projection, and (with the boundary rule installed) adjoins
+    the implementing unitary's class as a section generator in degree one.
+    """
+    ledger = kinput.ledger
+    if apply_boundary_rule:
+        ledger = boundary_rule(ledger)
+
+    side0 = _make_side(kinput.k0, kinput.alpha0, 0)
+    side1 = _make_side(kinput.k1, kinput.alpha1, 1)
+
+    seq0 = _assemble(side0.coinv, side1.inv, "degree-0 sequence")
+    seq1 = _assemble(side1.coinv, side0.inv, "degree-1 sequence")
+    _audit(seq0.record)
+    _audit(seq1.record)
+
+    k0_crossed = seq0.record.middle
+    k1_crossed = seq1.record.middle
+    seq1_record = seq1.record
+
+    unit = ledger["[1]"]
+    unitary_symbols = sorted(sym for sym, e in ledger.items() if e.location == "unitary")
+
+    out = KClassLedger()
+    u_vector: tuple[int, ...] | None = None
+    if apply_boundary_rule and unitary_symbols:
+        # alpha is unital, so [1] is invariant; guarded rather than assumed
+        if not side0.in_invariants(unit.vector):
+            raise InvariantViolation("unital automorphism must fix [1]")
+        expressed = side0.express(unit.vector)
+        if expressed is None:
+            raise InvariantViolation("[1] is invariant but not in the image of the invariants")
+        u_vector = seq1.embed_quot(tuple(-x for x in expressed))
+        quot = seq1.record.quotient
+        if (
+            quot.free_rank == 1
+            and not quot.torsion
+            and len(expressed) == 1
+            and abs(expressed[0]) == 1
+            and "u" not in k1_crossed.gen_names
+        ):
+            names = list(k1_crossed.gen_names)
+            names[seq1.quot_free_at] = "u"
+            k1_crossed = k1_crossed.renamed(names)
+            seq1_record = SeqRecord(
+                seq1.record.sub, k1_crossed, seq1.record.quotient, seq1.record.split, seq1.record.section
+            )
+
+    pushforward = {"k0": (side0, seq0, k0_crossed, "crossed0"), "k1": (side1, seq1, k1_crossed, "crossed1")}
+    for symbol, entry in sorted(ledger.items()):
+        if entry.location in pushforward:
+            side, seq, group, location = pushforward[entry.location]
+            vec = seq.embed_sub(side.push(entry.vector))
+            note = side.killed_note() if (not any(vec) and any(entry.vector)) else ""
+            out = out.with_entry(symbol, KClass(location, vec, element_order(group, vec), note))
+        elif entry.location == "unitary":
+            if u_vector is not None:
+                out = out.with_entry(
+                    symbol,
+                    KClass(
+                        "crossed1",
+                        u_vector,
+                        element_order(k1_crossed, u_vector),
+                        "section generator over [1]; boundary image is -[1]",
+                    ),
+                )
+            else:
+                out = out.with_entry(
+                    symbol,
+                    KClass("crossed1", None, None, "boundary rule disabled: order undetermined"),
+                )
+        else:
+            out = out.with_entry(symbol, entry)
+
+    return PvSolution(k0_crossed, k1_crossed, out, seq0.record, seq1_record)
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,21 @@ class TestPv:
         code, _, _ = run(capsys, "pv", "/no/such/file.json")
         assert code == 2
 
+    def test_localized_degree_zero_fixed_by_alpha0_exits_4(self, capsys, tmp_path):
+        payload = dict(
+            UNRESOLVED,
+            k0={"kind": "loc", "inverted": 2, "symbol": "e"},
+            alpha0={"rung": 1},
+            ledger={"[1]": {"group": "k0", "coeffs": [1], "order": "inf"}},
+        )
+        path = tmp_path / "loc0.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, _ = run(capsys, "pv", str(path))
+        assert code == 4
+        data = json.loads(out)
+        assert data["error"] == "unresolved extension"
+        assert data["partial"]["degree"] == 0
+
     def test_unresolved_extension_exit_code(self, capsys, tmp_path):
         path = tmp_path / "unresolved.json"
         path.write_text(json.dumps(UNRESOLVED), encoding="utf-8")
@@ -302,6 +317,15 @@ class TestHomology:
     def test_parse_error(self, capsys):
         code, _, _ = run(capsys, "homology", "<a| >")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "text, at", [("<a,b|a b^\u0663>", 9), ("<a|a^\u00b2>", 5)], ids=["arabic-indic-3", "superscript-2"]
+    )
+    def test_exponent_digits_are_ascii(self, capsys, text, at):
+        code, out, err = run(capsys, "homology", "--", text)
+        assert code == 2 and out == ""
+        assert_one_line_error(err)
+        assert err.endswith(f"(at position {at})\n"), err
 
 
 class TestKhom:
@@ -482,6 +506,17 @@ class TestStabilization:
         code, _, err = run(capsys, "pv", path)
         assert code == 0, err
         assert time.perf_counter() - start < 2
+
+    def test_digits_not_magnitude(self, capsys, tmp_path):
+        """A 14,000-step chain costs a few dozen kernels, not 14,000."""
+        path = localized_input(tmp_path, 2, 1 - 2**14000)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "--json", "pv", path)
+        assert code == 0, err
+        assert time.perf_counter() - start < 2
+        data = json.loads(out)
+        for group in (data["k0_crossed"], data["k1_crossed"]):
+            assert (group["free_rank"], group["torsion"]) == (1, [])
 
     def test_bound_reached_exits_3_with_one_line(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr("bs_ktheory.colimit._stabilization_bound", lambda g: 0)

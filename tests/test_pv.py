@@ -4,8 +4,8 @@ import sys
 
 import pytest
 
-from bs_ktheory.abelian import FgAbGroup, GroupHom, IntMatrix, is_isomorphic
-from bs_ktheory.colimit import LadderMap, LocObject
+from bs_ktheory.abelian import FgAbGroup, GroupHom, IntMatrix, element_order, is_isomorphic
+from bs_ktheory.colimit import LadderMap, LocalizedInt, LocObject
 from bs_ktheory.errors import DomainError, UnresolvedExtension
 from bs_ktheory.ledger import KClass, KClassLedger
 from bs_ktheory.pv import (
@@ -17,7 +17,7 @@ from bs_ktheory.pv import (
     pv_solve,
     solution_to_json,
 )
-from helpers import run_optimized
+from helpers import random_group, random_hom_matrix, reference_pv_solve, run_optimized
 TRIVIAL = FgAbGroup.trivial()
 
 
@@ -238,6 +238,91 @@ class TestGenericSolves:
         bad = KInput(inp.k0, inp.k1, inp.alpha0, alpha1, inp.ledger)
         with pytest.raises(UnresolvedExtension):
             pv_solve(bad)
+
+
+def localized_map(loc: LocalizedInt, rung: int) -> LadderMap:
+    colim = loc.as_colim()
+    return LadderMap(colim, colim, GroupHom(colim.stage, colim.stage, IntMatrix(1, 1, (rung,))))
+
+
+class TestLocalizedDegreeZero:
+    @pytest.mark.parametrize("n", [1, -1])
+    def test_degenerate_localization_is_z(self, n):
+        """Z[1/(+-1)] in degree zero folds into the finitely generated branch."""
+        loc = LocalizedInt(n, "e")
+        ledger = KClassLedger({"[1]": KClass("k0", (1,), math.inf)})
+        inp = KInput(LocObject(loc), TRIVIAL, localized_map(loc, 1), GroupHom.identity(TRIVIAL), ledger)
+        sol = pv_solve(inp)
+        assert is_isomorphic(sol.k0_crossed, FgAbGroup(1))
+        assert is_isomorphic(sol.k1_crossed, FgAbGroup(1))
+        assert sol.ledger_out["[u]"].order == math.inf
+
+
+def random_localized_input(rng, n: int) -> KInput:
+    """Z on [1] and Z[1/n] acted on by a rung r whose 1 - r shares primes
+    with n, or is 0 now and then."""
+    primes = [p for p in (2, 3, 5, 7) if n % p == 0] or [abs(n)]
+    c = rng.choice((-1, 1)) * rng.choice(primes) ** rng.randint(0, 6) * rng.randint(1, 30)
+    if rng.random() < 0.05:
+        c = 0
+    base = bs_input(2)  # degree zero and the ledger are the same for every n
+    loc = LocalizedInt(n, "v")
+    ledger = base.ledger.with_entry("[b]", KClass("k1", (rng.randint(-6, 6),), None))
+    return KInput(base.k0, LocObject(loc), base.alpha0, localized_map(loc, 1 - c), ledger)
+
+
+def random_fg_input(rng) -> KInput:
+    """Random finitely generated sides, alpha0 fixing [1] = e_0."""
+    k0 = FgAbGroup(rng.randint(1, 2), random_group(rng).torsion)
+    rows = random_hom_matrix(rng, k0, k0, span=2).to_rows()
+    for i, row in enumerate(rows):
+        row[0] = int(i == 0)
+    alpha0 = GroupHom(k0, k0, IntMatrix.from_rows(rows, cols=k0.gen_count))
+    k1 = random_group(rng)
+    alpha1 = GroupHom(k1, k1, random_hom_matrix(rng, k1, k1, span=2))
+    entries = {"[1]": KClass("k0", (1,) + (0,) * (k0.gen_count - 1), math.inf)}
+    for sym, group, loc in (("[x]", k0, "k0"), ("[y]", k1, "k1")):
+        vec = tuple(rng.randint(-3, 3) for _ in range(group.gen_count))
+        entries[sym] = KClass(loc, vec, element_order(group, vec) if rng.random() < 0.5 else None)
+    if rng.random() < 0.5:
+        entries["[a]"] = KClass("unitary", None, None)
+    return KInput(k0, k1, alpha0, alpha1, KClassLedger(entries))
+
+
+def outcome(solve, inp: KInput, rule: bool):
+    try:
+        return solution_to_json(solve(inp, apply_boundary_rule=rule))
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "partial", None)
+
+
+class TestMatchesClosureSolver:
+    def test_same_solution_or_error(self):
+        """The solver on plain data agrees with the closure-based one kept in
+        helpers, and the inputs reach every branch of the extension."""
+        rng = random.Random(71)
+        inputs = [bs_input(n) for n in range(-64, 65) if n not in (0, 1)]
+        inputs += [random_localized_input(rng, rng.choice((-1, 1)) * rng.randint(1, 40)) for _ in range(200)]
+        inputs += [random_fg_input(rng) for _ in range(250)]
+        reached = set()
+        for inp in inputs:
+            for rule in (True, False):
+                got = outcome(pv_solve, inp, rule)
+                assert got == outcome(reference_pv_solve, inp, rule), kinput_to_json(inp)
+                if isinstance(got, dict):
+                    reached.update((got["seq0"]["section"], got["seq1"]["section"]))
+                    if "u" in got["k1_crossed"]["gens"]:
+                        reached.add("u")
+                else:
+                    reached.add(got[0].__name__)
+        assert len(inputs) >= 500
+        assert reached >= {
+            "trivial quotient: middle is the subobject",
+            "trivial subobject: middle is the quotient",
+            "free quotient: projective, so the sequence splits",
+            "UnresolvedExtension",
+            "u",
+        }, reached
 
 
 class TestPastTheDigitLimit:
