@@ -6,11 +6,13 @@ the chosen generating sets, and kernels, cokernels, element orders and
 isomorphism all reduce to Smith normal form over the integers. Every step
 uses Python ints, so the arithmetic is exact at any magnitude.
 
-There is one Smith-form core, ``_snf_ext``. It returns one result type,
-``SnfDecomposition``: the diagonal, the unimodular transforms u and v, and
-their inverses, tracked during elimination rather than inverted after and
-kept as the row lists the elimination produces. ``_split_diag`` reads the
-free and torsion coordinates off the diagonal for every caller.
+There is one Smith-form core, ``_snf_ext``: it reduces by nearest
+remainders, clearing the pivot's column and then its row by passes local to
+each. It returns one result type, ``SnfDecomposition``: the diagonal, the
+unimodular transforms u and v, and their inverses, tracked during
+elimination rather than inverted after and kept as the row lists the
+elimination produces. ``_split_diag`` reads the free and torsion
+coordinates off the diagonal for every caller.
 
 Records (``IntMatrix``, ``FgAbGroup``, ``GroupHom``) are validated on
 construction, so they are built only at the API boundary: for the input of
@@ -204,10 +206,20 @@ def _identity_rows(n: int) -> list[list[int]]:
 def _snf_ext(a: IntMatrix) -> SnfDecomposition:
     """Smith normal form with the inverse transforms tracked alongside.
 
-    Pivot rule: the nonzero entry of least absolute value, ties broken by
-    lowest (row, col). This makes the output deterministic. The working
-    state is plain lists; ``u_inv`` and ``v`` are kept transposed (``uit``,
-    ``vt``) so that every transform update replaces whole rows.
+    Position t starts from the nonzero entry of least absolute value in the
+    trailing submatrix, first in row-major order, so the output is
+    deterministic. An entry e is reduced by the nearest multiple q * p of
+    the pivot p: |e - q * p| <= |p| / 2, and at equality q = e // p. Column
+    t is cleared by passes within it, each ending with the row of least
+    remainder as the new pivot row; row t is cleared the same way, the
+    column of its least remainder becoming column t. Unless the pivot is a
+    unit, the first row with an entry it does not divide is then added to
+    row t, and both are cleared again.
+
+    Rows t and below are zero left of column t, so a row operation rewrites
+    only the suffix from column t, and a column operation only row t. The
+    transforms are updated whole; ``u_inv`` and ``v`` are kept transposed
+    (``uit``, ``vt``) so that every update replaces whole rows.
     """
     r, c = a.rows, a.cols
     m = [list(a.entries[i * c : (i + 1) * c]) for i in range(r)]
@@ -216,102 +228,77 @@ def _snf_ext(a: IntMatrix) -> SnfDecomposition:
     vt = _identity_rows(c)
     vi = _identity_rows(c)
 
-    def row_add(i: int, j: int, q: int) -> None:
-        # row_i += q * row_j; inverse transform adjusts column j of u_inv
-        m[i] = [x + q * y for x, y in zip(m[i], m[j])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-        uit[j] = [x - q * y for x, y in zip(uit[j], uit[i])]
-
-    def swap_rows(i: int, j: int) -> None:
-        if i != j:
-            m[i], m[j] = m[j], m[i]
-            u[i], u[j] = u[j], u[i]
-            uit[i], uit[j] = uit[j], uit[i]
-
-    def negate_row(i: int) -> None:
-        m[i] = [-x for x in m[i]]
-        u[i] = [-x for x in u[i]]
-        uit[i] = [-x for x in uit[i]]
-
-    def col_add(j: int, i: int, q: int) -> None:
-        # col_j += q * col_i; inverse transform adjusts row i of v_inv
-        for row in m:
-            row[j] += q * row[i]
-        vt[j] = [x + q * y for x, y in zip(vt[j], vt[i])]
-        vi[i] = [x - q * y for x, y in zip(vi[i], vi[j])]
-
-    def swap_cols(i: int, j: int) -> None:
-        if i != j:
-            for row in m:
-                row[i], row[j] = row[j], row[i]
-            vt[i], vt[j] = vt[j], vt[i]
-            vi[i], vi[j] = vi[j], vi[i]
-
-    def find_pivot(t: int) -> tuple[int, int] | None:
-        # a unit is the least possible |e|, so the first one found wins the tie rule
-        best: tuple[int, int] | None = None
-        best_abs = 0
-        for i in range(t, r):
-            row = m[i]
-            for j in range(t, c):
-                e = row[j]
-                if e:
-                    e_abs = abs(e)
-                    if e_abs == 1:
-                        return i, j
-                    if best is None or e_abs < best_abs:
-                        best = (i, j)
-                        best_abs = e_abs
-        return best
-
     t = 0
     limit = min(r, c)
     while t < limit:
-        pivot = find_pivot(t)
+        # no entry beats a unit, so the scan stops after the row holding one
+        pivot, least = None, 0
+        for i in range(t, r):
+            for j, e in enumerate(m[i][t:], t):
+                if e and (pivot is None or abs(e) < least):
+                    pivot, least = (i, j), abs(e)
+            if least == 1:
+                break
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        i, j = pivot
+        while True:
+            if i != t:
+                m[t], m[i] = m[i], m[t]
+                u[t], u[i] = u[i], u[t]
+                uit[t], uit[i] = uit[i], uit[t]
+            if j != t:
+                for row in m[t:]:
+                    row[t], row[j] = row[j], row[t]
+                vt[t], vt[j] = vt[j], vt[t]
+                vi[t], vi[j] = vi[j], vi[t]
+            top = m[t]
+            p, tail = top[t], top[t:]
+            i = j = t  # to become the row, then the column, of the least remainder
+            low = 0
+            for k in range(t + 1, r):
+                row = m[k]
+                if row[t]:
+                    q, e = divmod(row[t], p)
+                    if 2 * abs(e) > abs(p):
+                        q, e = q + 1, e - p
+                    if q:
+                        row[t:] = [x - q * y for x, y in zip(row[t:], tail)]
+                        u[k] = [x - q * y for x, y in zip(u[k], u[t])]
+                        uit[t] = [x + q * y for x, y in zip(uit[t], uit[k])]
+                    if e and (i == t or abs(e) < low):
+                        i, low = k, abs(e)
+            if i != t:
+                continue
 
-        # clear column t; leftover remainders force a re-pivot
-        col_clean = True
-        for i in range(t + 1, r):
-            if m[i][t] != 0:
-                q = m[i][t] // m[t][t]
-                if q:
-                    row_add(i, t, -q)
-                if m[i][t] != 0:
-                    col_clean = False
-        if not col_clean:
-            continue
+            for k in range(t + 1, c):
+                if top[k]:
+                    q, e = divmod(top[k], p)
+                    if 2 * abs(e) > abs(p):
+                        q, e = q + 1, e - p
+                    if q:
+                        top[k] = e
+                        vt[k] = [x - q * y for x, y in zip(vt[k], vt[t])]
+                        vi[t] = [x + q * y for x, y in zip(vi[t], vi[k])]
+                    if e and (j == t or abs(e) < low):
+                        j, low = k, abs(e)
+            if j != t:
+                continue
 
-        row_clean = True
-        for j in range(t + 1, c):
-            if m[t][j] != 0:
-                q = m[t][j] // m[t][t]
-                if q:
-                    col_add(j, t, -q)
-                if m[t][j] != 0:
-                    row_clean = False
-        if not row_clean:
-            continue
+            # the divisibility chain: the pivot must divide the rest
+            if abs(p) != 1:
+                k = next((h for h in range(t + 1, r) if any(x % p for x in m[h][t + 1 :])), t)
+                if k != t:
+                    top[t + 1 :] = m[k][t + 1 :]
+                    u[t] = [x + y for x, y in zip(u[t], u[k])]
+                    uit[k] = [x - y for x, y in zip(uit[k], uit[t])]
+                    continue
+            break
 
-        # enforce the divisibility chain: the pivot must divide the rest
-        p = m[t][t]
-        offender = None
-        for i in range(t + 1, r):
-            for j in range(t + 1, c):
-                if m[i][j] % p != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_add(t, offender, 1)
-            continue
-
-        if m[t][t] < 0:
-            negate_row(t)
+        if top[t] < 0:
+            top[t] = -top[t]
+            u[t] = [-x for x in u[t]]
+            uit[t] = [-x for x in uit[t]]
         t += 1
 
     return SnfDecomposition(tuple(m[i][i] for i in range(limit)), u, vt, uit, vi)

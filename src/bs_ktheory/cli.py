@@ -22,6 +22,18 @@ EXIT_INVARIANT = 3
 EXIT_UNRESOLVED = 4
 
 
+def _argv_int(text: str) -> int:
+    """An integer argument: ASCII ``-?[0-9]+``. ``int()`` would also take
+    underscores, surrounding space and other scripts' digits."""
+    digits = text[1:] if text.startswith("-") else text
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bsk",
@@ -35,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bs = sub.add_parser("bs", help="full two-sided computation for the parameter n")
-    p_bs.add_argument("n", type=int)
+    p_bs.add_argument("n", type=_argv_int)
 
     p_pv = sub.add_parser("pv", help="solve a six-term input read from a JSON file")
     p_pv.add_argument("input_path")
@@ -47,10 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_khom.add_argument("presentation")
 
     p_pair = sub.add_parser("pair", help="randomized exact duality checks on the solenoid")
-    p_pair.add_argument("--n", type=int, required=True)
-    p_pair.add_argument("--depth", type=int, default=4)
-    p_pair.add_argument("--seed", type=int, default=0)
-    p_pair.add_argument("--trials", type=int, default=100)
+    p_pair.add_argument("--n", type=_argv_int, required=True)
+    p_pair.add_argument("--depth", type=_argv_int, default=4)
+    p_pair.add_argument("--seed", type=_argv_int, default=0)
+    p_pair.add_argument("--trials", type=_argv_int, default=100)
 
     p_snf = sub.add_parser("snf", help="Smith normal form of an integer matrix")
     p_snf.add_argument("matrix", help="JSON rows, or a path to a JSON file")

@@ -4,11 +4,12 @@ The oracles here are deliberately independent of the library's own
 algorithms: minors-gcd invariant factors for Smith form, brute-force
 element chasing on finite stages for colimits, and a letter-by-letter
 proper-power detector for relators. The exceptions are references kept
-to check the library entry for entry: ``reference_snf_ext``, the earlier
-index-loop Smith form, and the earlier record-based kernel, cokernel,
-``solve`` and stable kernel, which built an ``IntMatrix`` for every
-intermediate step, and the earlier six-term solver, which kept each side
-and each extension as closures.
+to check the library against: ``reference_snf_ext``, the earlier
+index-loop Smith form with floor quotients and global re-pivoting, whose
+diagonal the library must match; and, entry for entry, the earlier
+record-based kernel, cokernel, ``solve`` and stable kernel, which built an
+``IntMatrix`` for every intermediate step, and the earlier six-term
+solver, which kept each side and each extension as closures.
 """
 
 from __future__ import annotations

@@ -47,6 +47,19 @@ def snf_invariants_hold(a: IntMatrix) -> None:
                 assert dec.s.at(i, j) == 0
 
 
+def assert_reference_diagonal(a: IntMatrix) -> None:
+    """The diagonal is the reference's, and u, v and their tracked inverses
+    are unimodular transforms to it; they may differ from the reference's."""
+    r, c = a.rows, a.cols
+    dec = smith_normal_form(a)
+    ref = reference_snf_ext(a)
+    assert dec.diag == tuple(ref.s.at(i, i) for i in range(min(r, c))), a
+    assert dec.u @ a @ dec.v == dec.s == ref.s, a
+    assert dec.u @ dec.u_inv == IntMatrix.identity(r), a
+    assert dec.v @ dec.v_inv == IntMatrix.identity(c), a
+    assert abs(dec.u.det()) == abs(dec.v.det()) == 1, a
+
+
 class TestSmithNormalForm:
     def test_identity(self):
         dec = smith_normal_form(IntMatrix.identity(2))
@@ -69,6 +82,13 @@ class TestSmithNormalForm:
         snf_invariants_hold(IntMatrix(0, 0, ()))
         snf_invariants_hold(IntMatrix.zeros(2, 3))
         assert smith_normal_form(IntMatrix.zeros(2, 3)).diag == (0, 0)
+        for r, c in ((0, 3), (3, 0)):
+            dec = smith_normal_form(IntMatrix.zeros(r, c))
+            assert dec.diag == () and (dec.u, dec.v) == (IntMatrix.identity(r), IntMatrix.identity(c))
+            assert_reference_diagonal(IntMatrix.zeros(r, c))
+        a = IntMatrix.from_rows([[0, 0], [0, 0], [3, -7]])
+        assert smith_normal_form(a).diag == (1, 0)
+        assert_reference_diagonal(a)
 
     def test_deterministic(self):
         a = IntMatrix.from_rows([[6, -4, 2], [3, 9, 0]])
@@ -91,7 +111,7 @@ class TestSmithNormalForm:
             assert list(smith_normal_form(a).diag) == minors_invariant_factors(a)
 
     def test_matches_index_loop_reference(self):
-        # every transform, not just the diagonal, must equal the reference's
+        # the reference reduces by floor quotients, so only its diagonal must match
         rng = random.Random(303)
         for trial in range(10_000):
             r = rng.randint(0, 7)
@@ -101,10 +121,35 @@ class TestSmithNormalForm:
             a = IntMatrix(
                 r, c, tuple(0 if rng.random() < zeros else rng.randint(-bound, bound) for _ in range(r * c))
             )
-            dec = smith_normal_form(a)
-            ref = reference_snf_ext(a)
-            assert dec.diag == tuple(ref.s.at(i, i) for i in range(min(r, c))), a
-            assert (dec.s, dec.u, dec.v, dec.u_inv, dec.v_inv) == tuple(ref), a
+            assert_reference_diagonal(a)
+
+    @pytest.mark.parametrize("shape", [(24, 28), (28, 24), (26, 26), (28, 28)])
+    def test_dense_sizes_match_reference(self, shape):
+        # the sizes and entries of the snf-dense benchmark's largest inputs
+        rng = random.Random(505 + sum(shape))
+        r, c = shape
+        assert_reference_diagonal(IntMatrix(r, c, tuple(rng.randint(-20, 20) for _ in range(r * c))))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[2, 3]], [[2], [3]], [[-2, 3]], [[-6]], [[0, 0, 0], [0, 4, 6], [0, 0, 0]]],
+        ids=["tie-row", "tie-column", "tie-negative-pivot", "negative-scalar", "zero-rows-and-columns"],
+    )
+    def test_ties_and_exact_quotients_match_reference_transforms(self, rows):
+        # a remainder of exactly |p| / 2 keeps the floor quotient, as before
+        a = IntMatrix.from_rows(rows)
+        dec = smith_normal_form(a)
+        assert (dec.s, dec.u, dec.v, dec.u_inv, dec.v_inv) == tuple(reference_snf_ext(a))
+        assert_reference_diagonal(a)
+
+    def test_nearest_remainder_under_a_negative_pivot(self):
+        # 4 = -1 * -3 + 1, not -2 * -3 - 2: one column step reaches the unit
+        a = IntMatrix.from_rows([[-3, 4]])
+        dec = smith_normal_form(a)
+        assert dec.diag == (1,)
+        assert dec.u == IntMatrix.identity(1)
+        assert dec.v == IntMatrix.from_rows([[1, 4], [1, 3]])
+        assert_reference_diagonal(a)
 
     def test_tracked_inverses(self):
         rng = random.Random(404)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from bs_ktheory.abelian import IntMatrix
+from bs_ktheory.abelian import IntMatrix, smith_normal_form
 from bs_ktheory.cli import _without_digit_limit, main
 from bs_ktheory.pv import bs_input, kinput_to_json
 
@@ -56,6 +56,42 @@ class TestBs:
         code, out, _ = run(capsys, "bs", "-1")
         assert code == 0
         assert "K1 = Z + Z/2" in out
+
+
+class TestArgvIntegers:
+    """``bs n`` and ``pair --n/--depth/--seed/--trials`` read ASCII -?[0-9]+
+    and reject the rest as argparse rejects ``abc``: usage, then one line."""
+
+    @staticmethod
+    def rejected(capsys, *argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        return captured.err
+
+    @pytest.mark.parametrize("value", ["1_0", " 7 ", "\u0663", "+5", "7\n", "-", ""])
+    def test_bs(self, capsys, value):
+        expected = self.rejected(capsys, "bs", "abc").replace("'abc'", repr(value))
+        assert self.rejected(capsys, "bs", "--", value) == expected
+        assert expected.endswith(f"argument n: invalid int value: {value!r}\n")
+
+    @pytest.mark.parametrize("option", ["--n", "--depth", "--seed", "--trials"])
+    @pytest.mark.parametrize("value", ["1_0", "\u0663"])
+    def test_pair(self, capsys, option, value):
+        def argv(bad):
+            given = {"--n": "3", "--depth": "2", "--seed": "1", "--trials": "5", option: bad}
+            return ["pair", *(f"{k}={v}" for k, v in given.items())]
+
+        expected = self.rejected(capsys, *argv("abc")).replace("'abc'", repr(value))
+        assert self.rejected(capsys, *argv(value)) == expected
+        assert expected.endswith(f"argument {option}: invalid int value: {value!r}\n")
+
+    def test_ascii_integers_still_read(self, capsys):
+        code, out, _ = run(capsys, "bs", "--", "-3")
+        assert code == 0 and "parameter n = -3" in out
+        code, out, _ = run(capsys, "--json", "pair", "--n=-3", "--depth=2", "--seed=007", "--trials=5")
+        assert code == 0 and json.loads(out)["seed"] == 7
 
 
 # coinvariants Z + Z/4 under a free quotient Z/2 on the other side: exit 4
@@ -335,6 +371,22 @@ class TestKhom:
         data = json.loads(out)
         assert data["k1"]["torsion"] == [5]
         assert data["ledger"]["[pt]"]["order"] == "inf"
+
+    @pytest.mark.parametrize(
+        "text, rank", [("<a,b,c|a^9 b^-8 b^-5 c^-11>", 2), ("<a,b,c,d|c^-7 c^-8 d^11 a^10 b^-8>", 3)]
+    )
+    def test_printed_generator_classes_span_k1(self, capsys, text, rank):
+        # nearest-remainder Smith forms print another basis here than floor
+        # quotients did; any basis must keep the groups, and the generators'
+        # classes must still span K1 = Z^rank
+        code, out, _ = run(capsys, "--json", "khom", text)
+        assert code == 0
+        data = json.loads(out)
+        assert (data["k0"]["free_rank"], data["k0"]["torsion"]) == (1, [])
+        assert (data["k1"]["free_rank"], data["k1"]["torsion"]) == (rank, [])
+        classes = [entry["coeffs"] for symbol, entry in data["ledger"].items() if symbol != "[pt]"]
+        assert len(classes) == rank + 1 and all(entry["order"] == "inf" for entry in data["ledger"].values())
+        assert smith_normal_form(IntMatrix.from_rows(classes)).diag == (1,) * rank
 
 
 class TestPair:
