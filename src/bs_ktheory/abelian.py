@@ -8,9 +8,9 @@ uses Python ints, so the arithmetic is exact at any magnitude.
 
 There is one Smith-form core, ``_snf_ext``: it reduces by nearest
 remainders, clearing the pivot's column and then its row by passes local to
-each. It returns one result type, ``SnfDecomposition``: the diagonal, the
-unimodular transforms u and v, and their inverses, tracked during
-elimination rather than inverted after and kept as the row lists the
+each. It returns one result type, ``SnfDecomposition``: the diagonal and
+the transforms its caller asks for, among u, v and u's inverse, tracked
+during elimination rather than inverted after and kept as the row lists the
 elimination produces. ``_split_diag`` reads the free and torsion
 coordinates off the diagonal for every caller.
 
@@ -158,18 +158,18 @@ def identity_minus(a: IntMatrix) -> IntMatrix:
 # Smith normal form
 
 
-class SnfDecomposition(namedtuple("SnfDecomposition", "diag u_rows vt uit vi")):
-    """A Smith normal form u @ a @ v = s with both inverse transforms.
+class SnfDecomposition(namedtuple("SnfDecomposition", "diag u_rows vt uit")):
+    """A Smith normal form u @ a @ v = s, with the transforms its caller tracked.
 
-    ``u`` and ``v`` are unimodular, and ``u @ u_inv`` and ``v @ v_inv`` are
-    identities. ``diag`` is the diagonal of s: nonzero entries are positive,
-    each divides the next, and zeros come last, so it runs units, then
-    torsion entries, then zeros.
+    ``u`` and ``v`` are unimodular, and ``u @ u_inv`` is the identity.
+    ``diag`` is the diagonal of s: nonzero entries are positive, each
+    divides the next, and zeros come last, so it runs units, then torsion
+    entries, then zeros.
 
     The transforms are stored as the row lists elimination leaves: the rows
-    of u (``u_rows``) and of v_inv (``vi``), and the columns of v (``vt``)
-    and of u_inv (``uit``). The matrices ``u``, ``v``, ``u_inv``, ``v_inv``
-    and ``s`` are built from them on each access.
+    of u (``u_rows``) and the columns of v (``vt``) and of u_inv (``uit``),
+    one empty row each where untracked. The matrices ``u``, ``v``,
+    ``u_inv`` and ``s`` are built from them on each access.
     """
 
     __slots__ = ()
@@ -178,12 +178,12 @@ class SnfDecomposition(namedtuple("SnfDecomposition", "diag u_rows vt uit vi")):
     u_rows: list[list[int]]
     vt: list[list[int]]
     uit: list[list[int]]
-    vi: list[list[int]]
 
     u = property(lambda self: IntMatrix.from_rows(self.u_rows))
     v = property(lambda self: IntMatrix.from_rows([*zip(*self.vt)]))
     u_inv = property(lambda self: IntMatrix.from_rows([*zip(*self.uit)]))
-    v_inv = property(lambda self: IntMatrix.from_rows(self.vi))
+    # v's inverse is not tracked; perfbench/spans.py still reads this view
+    v_inv = property(lambda self: IntMatrix(0, 0, ()))
 
     @property
     def s(self) -> IntMatrix:
@@ -199,12 +199,12 @@ def _identity_tuple(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def _identity_rows(n: int) -> list[list[int]]:
-    return [list(row) for row in _identity_tuple(n)]
+def _snf_ext(a: IntMatrix, track: Sequence[str]) -> SnfDecomposition:
+    """Smith normal form with the transforms named in ``track`` alongside.
 
-
-def _snf_ext(a: IntMatrix) -> SnfDecomposition:
-    """Smith normal form with the inverse transforms tracked alongside.
+    ``track`` names the transforms to keep, among ``("u_rows", "vt",
+    "uit")``; each other one is a list of empty rows, which every update
+    below leaves empty at next to no cost.
 
     Position t starts from the nonzero entry of least absolute value in the
     trailing submatrix, first in row-major order, so the output is
@@ -218,15 +218,15 @@ def _snf_ext(a: IntMatrix) -> SnfDecomposition:
 
     Rows t and below are zero left of column t, so a row operation rewrites
     only the suffix from column t, and a column operation only row t. The
-    transforms are updated whole; ``u_inv`` and ``v`` are kept transposed
-    (``uit``, ``vt``) so that every update replaces whole rows.
+    tracked transforms are updated whole; ``u_inv`` and ``v`` are kept
+    transposed (``uit``, ``vt``) so that every update replaces whole rows.
     """
     r, c = a.rows, a.cols
     m = [list(a.entries[i * c : (i + 1) * c]) for i in range(r)]
-    u = _identity_rows(r)
-    uit = _identity_rows(r)
-    vt = _identity_rows(c)
-    vi = _identity_rows(c)
+    u, uit, vt = (
+        [list(row) for row in (_identity_tuple(n) if name in track else ((),) * n)]
+        for name, n in (("u_rows", r), ("uit", r), ("vt", c))
+    )
 
     t = 0
     limit = min(r, c)
@@ -251,7 +251,6 @@ def _snf_ext(a: IntMatrix) -> SnfDecomposition:
                 for row in m[t:]:
                     row[t], row[j] = row[j], row[t]
                 vt[t], vt[j] = vt[j], vt[t]
-                vi[t], vi[j] = vi[j], vi[t]
             top = m[t]
             p, tail = top[t], top[t:]
             i = j = t  # to become the row, then the column, of the least remainder
@@ -279,7 +278,6 @@ def _snf_ext(a: IntMatrix) -> SnfDecomposition:
                     if q:
                         top[k] = e
                         vt[k] = [x - q * y for x, y in zip(vt[k], vt[t])]
-                        vi[t] = [x + q * y for x, y in zip(vi[t], vi[k])]
                     if e and (j == t or abs(e) < low):
                         j, low = k, abs(e)
             if j != t:
@@ -301,16 +299,16 @@ def _snf_ext(a: IntMatrix) -> SnfDecomposition:
             uit[t] = [-x for x in uit[t]]
         t += 1
 
-    return SnfDecomposition(tuple(m[i][i] for i in range(limit)), u, vt, uit, vi)
+    return SnfDecomposition(tuple(m[i][i] for i in range(limit)), u, vt, uit)
 
 
 def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
     """Diagonalize ``a`` by unimodular row and column operations.
 
     Works on any rectangular matrix, including empty ones. The result is
-    deterministic for a given input.
+    deterministic, and carries ``u`` and ``v`` but not their inverses.
     """
-    return _snf_ext(a)
+    return _snf_ext(a, ("u_rows", "vt"))
 
 
 def _split_diag(diag: tuple[int, ...], count: int) -> tuple[range, range]:
@@ -559,7 +557,7 @@ def _cokernel_ext(h: GroupHom) -> _CokernelData:
     """Normal form of target / im(h): the projection has one row per kept
     generator, and the lifts are its right inverse up to dropped unit summands."""
     target = h.target
-    ext = _snf_ext(_with_relations(h.matrix.to_rows(), h.matrix.cols, target))
+    ext = _snf_ext(_with_relations(h.matrix.to_rows(), h.matrix.cols, target), ("u_rows", "uit"))
     free_idx, tors_idx = _split_diag(ext.diag, target.gen_count)
     kept = [*free_idx, *tors_idx]
     proj = [ext.u_rows[i] for i in kept]
@@ -580,7 +578,7 @@ def cokernel(h: GroupHom) -> tuple[FgAbGroup, GroupHom]:
 
 def integer_kernel_basis(a: IntMatrix) -> list[tuple[int, ...]]:
     """A lattice basis of {x : a x = 0} over the integers."""
-    ext = _snf_ext(a)
+    ext = _snf_ext(a, ("vt",))
     free_idx, _ = _split_diag(ext.diag, a.cols)
     return [tuple(ext.vt[j]) for j in free_idx]
 
@@ -606,7 +604,7 @@ def _kernel_ext(h: GroupHom) -> _KernelData:
     b_rows = [[g[i] for g in generators] for i in range(n)]
     rel_gens = [vec[:k] for vec in integer_kernel_basis(_with_relations(b_rows, k, h.source))]
 
-    ext = _snf_ext(_from_cols(rel_gens, k))
+    ext = _snf_ext(_from_cols(rel_gens, k), ("uit",))
     free_idx, tors_idx = _split_diag(ext.diag, k)
     gens = [
         tuple(sum(c * g[i] for c, g in zip(ext.uit[j], generators)) for i in range(n))
@@ -650,7 +648,7 @@ def solve(h: GroupHom, target_vec: Sequence[int]) -> tuple[int, ...] | None:
     """
     if len(target_vec) != h.target.gen_count:
         raise ValueError("vector length does not match target generator count")
-    ext = _snf_ext(_with_relations(h.matrix.to_rows(), h.matrix.cols, h.target))
+    ext = _snf_ext(_with_relations(h.matrix.to_rows(), h.matrix.cols, h.target), ("u_rows", "vt"))
     free_idx, _ = _split_diag(ext.diag, h.target.gen_count)
     y = [sum(x * t for x, t in zip(row, target_vec)) for row in ext.u_rows]
     if any(y[i] for i in free_idx):
@@ -666,8 +664,8 @@ def solve(h: GroupHom, target_vec: Sequence[int]) -> tuple[int, ...] | None:
 
 def generates(g: FgAbGroup, vec: Sequence[int]) -> bool:
     """Does the cyclic subgroup generated by ``vec`` equal all of g?"""
-    h = GroupHom(FgAbGroup.free(1, ("c",)), g, IntMatrix.column(g.reduce(vec)))
-    return _cokernel_ext(h).group.is_trivial
+    ext = _snf_ext(_with_relations([[x] for x in g.reduce(vec)], 1, g), ())
+    return not any(_split_diag(ext.diag, g.gen_count))
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,8 @@ def _run_pair(args):
         raise DomainError("the solenoid parameter must be nonzero")
     if args.depth < 0 or args.trials < 0:
         raise DomainError("depth and trials must be nonnegative")
+    if args.depth > 10_000:  # a point keeps one angle per level: 10^8 exhausts memory
+        raise DomainError("depth must be at most 10000")
     rng = Random(args.seed)
     passed = failed = skipped = 0
     # elements stay within the point's depth; at depth 0 deeper denominators

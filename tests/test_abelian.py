@@ -8,6 +8,7 @@ from bs_ktheory.abelian import (
     FgAbGroup,
     GroupHom,
     IntMatrix,
+    _snf_ext,
     cokernel,
     element_order,
     generates,
@@ -28,6 +29,7 @@ from helpers import (
 )
 
 Z = FgAbGroup.free(1, ("x",))
+ALL_TRANSFORMS = ("u_rows", "vt", "uit")
 
 
 def snf_invariants_hold(a: IntMatrix) -> None:
@@ -48,15 +50,14 @@ def snf_invariants_hold(a: IntMatrix) -> None:
 
 
 def assert_reference_diagonal(a: IntMatrix) -> None:
-    """The diagonal is the reference's, and u, v and their tracked inverses
+    """The diagonal is the reference's, and u, v and u's tracked inverse
     are unimodular transforms to it; they may differ from the reference's."""
     r, c = a.rows, a.cols
-    dec = smith_normal_form(a)
+    dec = _snf_ext(a, ALL_TRANSFORMS)
     ref = reference_snf_ext(a)
     assert dec.diag == tuple(ref.s.at(i, i) for i in range(min(r, c))), a
     assert dec.u @ a @ dec.v == dec.s == ref.s, a
     assert dec.u @ dec.u_inv == IntMatrix.identity(r), a
-    assert dec.v @ dec.v_inv == IntMatrix.identity(c), a
     assert abs(dec.u.det()) == abs(dec.v.det()) == 1, a
 
 
@@ -138,8 +139,8 @@ class TestSmithNormalForm:
     def test_ties_and_exact_quotients_match_reference_transforms(self, rows):
         # a remainder of exactly |p| / 2 keeps the floor quotient, as before
         a = IntMatrix.from_rows(rows)
-        dec = smith_normal_form(a)
-        assert (dec.s, dec.u, dec.v, dec.u_inv, dec.v_inv) == tuple(reference_snf_ext(a))
+        dec = _snf_ext(a, ALL_TRANSFORMS)
+        assert (dec.s, dec.u, dec.v, dec.u_inv) == tuple(reference_snf_ext(a))[:4]
         assert_reference_diagonal(a)
 
     def test_nearest_remainder_under_a_negative_pivot(self):
@@ -156,10 +157,42 @@ class TestSmithNormalForm:
         shapes = [(rng.randint(0, 7), rng.randint(0, 7), 20) for _ in range(300)] + [(20, 20, 20)] * 3
         for r, c, bound in shapes:
             a = IntMatrix(r, c, tuple(rng.randint(-bound, bound) for _ in range(r * c)))
-            dec = smith_normal_form(a)
+            dec = _snf_ext(a, ALL_TRANSFORMS)
             assert dec.u @ dec.u_inv == IntMatrix.identity(r)
-            assert dec.v @ dec.v_inv == IntMatrix.identity(c)
             assert dec.u @ a @ dec.v == dec.s
+
+    @pytest.mark.parametrize(
+        "track",
+        [("u_rows", "vt"), ("u_rows", "uit"), ("vt",), ("uit",), ()],
+        ids=["smith_normal_form-and-solve", "cokernel", "kernel-basis", "kernel-relations", "generates"],
+    )
+    def test_partial_tracking_matches_full(self, track):
+        # each caller's subset: tracked fields as if all were, the rest empty rows
+        rng = random.Random(606 + len(track))
+        shapes = [(0, k) for k in range(4)] + [(k, 0) for k in range(1, 4)]
+        shapes += [(rng.randint(1, 8), rng.randint(1, 8)) for _ in range(200)]
+        shapes += [(rng.randint(24, 28), rng.randint(20, 28)) for _ in range(2)]
+        for r, c in shapes:
+            a = IntMatrix(r, c, tuple(rng.randint(-20, 20) for _ in range(r * c)))
+            full, part = _snf_ext(a, ALL_TRANSFORMS), _snf_ext(a, track)
+            assert part.diag == full.diag, a
+            for name in ALL_TRANSFORMS:
+                rows = getattr(part, name)
+                assert rows == (getattr(full, name) if name in track else [[]] * len(rows)), (a, name)
+                assert len(rows) == (c if name == "vt" else r)
+
+    def test_views_build_on_a_partial_result(self):
+        # perfbench/spans.py reads all four views of every traced Smith form
+        a = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12]])
+        full = _snf_ext(a, ALL_TRANSFORMS)
+        assert full.s == IntMatrix.from_rows([[2, 0, 0], [0, 6, 0]])
+        assert smith_normal_form(a) == _snf_ext(a, ("u_rows", "vt"))
+        for track in ((), ("u_rows", "vt"), ("u_rows", "uit"), ("vt",), ("uit",)):
+            dec = _snf_ext(a, track)
+            assert dec.s == full.s
+            same = (dec.u == full.u, dec.v == full.v, dec.u_inv == full.u_inv)
+            assert same == tuple(name in track for name in ALL_TRANSFORMS)
+            assert dec.v_inv.entries == ()
 
 
 class TestNoCoercion:

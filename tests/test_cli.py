@@ -413,6 +413,18 @@ class TestPair:
         code, _, _ = run(capsys, "pair", "--n", "0", "--trials", "5")
         assert code == 2
 
+    @pytest.mark.parametrize("depth", ["10001", "100000000"])
+    def test_depth_past_bound_rejected(self, capsys, depth):
+        # rejected before any point is built, so even 10^8 exits at once
+        code, out, err = run(capsys, "pair", "--n", "2", "--depth", depth, "--trials", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: depth must be at most 10000\n"
+
+    def test_depth_at_bound_runs(self, capsys):
+        code, out, _ = run(capsys, "--json", "pair", "--n", "3", "--depth", "10000", "--trials", "1")
+        assert code == 0
+        assert json.loads(out)["failed"] == 0
+
 
 class TestSnf:
     def test_literal(self, capsys):
