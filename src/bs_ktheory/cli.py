@@ -152,7 +152,9 @@ def _run_pair(args):
         raise DomainError("the solenoid parameter must be nonzero")
     if args.depth < 0 or args.trials < 0:
         raise DomainError("depth and trials must be nonnegative")
-    if args.depth > 10_000:  # a point keeps one angle per level: 10^8 exhausts memory
+    # a point's size does not depend on its depth, but a sum x + y in Z[1/n] has
+    # a numerator of about depth * log2|n| bits; 20 trials at 10^6 take ~0.6 s
+    if args.depth > 10_000:
         raise DomainError("depth must be at most 10000")
     rng = Random(args.seed)
     passed = failed = skipped = 0

@@ -2,61 +2,55 @@
 
 Points on the solenoid are finite-depth truncations (z_0, ..., z_L) of
 compatible circle sequences with z_{k+1}^n = z_k, kept exact by using only
-rational angles. An element m/n^l of Z[1/n] pairs with such a point as the
-angle m * theta_l, and the backward shift drops the head coordinate. Every
-operation declares the depth it needs and raises DepthExceeded past it.
+rational angles. The deepest angle theta_L determines the point, since
+theta_k = n^(L-k) * theta_L mod 1, so a point stores (n, L, theta_L) and any
+level costs one modular power. An element m/n^l of Z[1/n] pairs with such a
+point as the angle m * theta_l, and the backward shift drops the head
+coordinate, which lowers L. Every operation declares the depth it needs and
+raises DepthExceeded past it.
 """
 
 from __future__ import annotations
 
-import random
 from collections import namedtuple
-from fractions import Fraction
+from math import gcd
+from random import Random
 
 from .errors import DepthExceeded
 
 
-class RationalAngle(namedtuple("RationalAngle", "value")):
-    """e^(2 pi i p/q) as the reduced fraction p/q with 0 <= p/q < 1."""
+class RationalAngle(namedtuple("RationalAngle", "p q")):
+    """e^(2 pi i p/q) as the reduced pair p/q with 0 <= p < q."""
 
     __slots__ = ()
 
-    def __new__(cls, value: Fraction):
-        return tuple.__new__(cls, (Fraction(value) % 1,))
-
-    @classmethod
-    def of(cls, p: int, q: int) -> "RationalAngle":
-        return cls(Fraction(p, q))
-
-    def scale(self, k: int) -> "RationalAngle":
-        return RationalAngle(self.value * k)
+    def __new__(cls, p: int, q: int):
+        if q <= 0:
+            raise ValueError("the denominator must be positive")
+        p %= q
+        g = gcd(p, q)
+        return tuple.__new__(cls, (p // g, q // g))
 
     def __add__(self, other: "RationalAngle") -> "RationalAngle":
-        return RationalAngle(self.value + other.value)
+        return RationalAngle(self.p * other.q + other.p * self.q, self.q * other.q)
 
     def __str__(self) -> str:
-        return str(self.value)
+        return f"{self.p}/{self.q}" if self.q != 1 else str(self.p)
 
 
-class SolenoidPoint(namedtuple("SolenoidPoint", "n coords")):
-    """A depth-L truncation (theta_0, ..., theta_L) with n*theta_{k+1} = theta_k mod 1."""
+class SolenoidPoint(namedtuple("SolenoidPoint", "n depth deepest")):
+    """A depth-L truncation (theta_0, ..., theta_L) with n*theta_{k+1} = theta_k
+    mod 1, kept as its deepest angle theta_L, so compatibility holds by
+    construction. ``deepest`` is a (p, q) pair; it is reduced."""
 
     __slots__ = ()
 
-    def __new__(cls, n: int, coords: tuple[RationalAngle, ...]):
-        coords = tuple(coords)
+    def __new__(cls, n: int, depth: int, deepest: tuple[int, int]):
         if n == 0:
             raise ValueError("the solenoid parameter must be nonzero")
-        if not coords:
-            raise ValueError("a point needs at least the depth-0 coordinate")
-        for k in range(len(coords) - 1):
-            if coords[k + 1].scale(n) != coords[k]:
-                raise ValueError(f"compatibility fails between depths {k} and {k + 1}")
-        return tuple.__new__(cls, (n, coords))
-
-    @property
-    def depth(self) -> int:
-        return len(self.coords) - 1
+        if depth < 0:
+            raise ValueError("depth must be nonnegative")
+        return tuple.__new__(cls, (n, depth, RationalAngle(*deepest)))
 
 
 class NadicRational(namedtuple("NadicRational", "n m exp")):
@@ -79,6 +73,8 @@ class NadicRational(namedtuple("NadicRational", "n m exp")):
         return tuple.__new__(cls, (n, m, exp))
 
     def value(self) -> Fraction:
+        from fractions import Fraction  # imported here, so that bsk pair never loads it
+
         return Fraction(self.m, self.n**self.exp)
 
     def times_base(self) -> "NadicRational":
@@ -100,10 +96,16 @@ class NadicRational(namedtuple("NadicRational", "n m exp")):
 
 
 def pairing_raw(z: SolenoidPoint, m: int, exp: int) -> RationalAngle:
-    """The angle m * theta_exp, for any (not necessarily canonical) m/n^exp."""
+    """The angle m * theta_exp, for any (not necessarily canonical) m/n^exp.
+
+    theta_exp = n^(depth-exp) * theta_depth, and the power is taken modulo
+    the deepest angle's denominator, so the cost grows with log(depth)."""
+    if exp < 0:
+        raise ValueError("the exponent must be nonnegative")
     if exp > z.depth:
         raise DepthExceeded(f"pairing at level {exp} needs depth >= {exp}, have {z.depth}")
-    return z.coords[exp].scale(m)
+    p, q = z.deepest
+    return RationalAngle(m * p * pow(z.n, z.depth - exp, q), q)
 
 
 def pairing(z: SolenoidPoint, x: NadicRational) -> RationalAngle:
@@ -117,7 +119,7 @@ def dual_shift(z: SolenoidPoint) -> SolenoidPoint:
     """Backward shift (drop the head coordinate); loses one level of depth."""
     if z.depth < 1:
         raise DepthExceeded("shifting needs depth >= 1")
-    return SolenoidPoint(z.n, z.coords[1:])
+    return z._replace(depth=z.depth - 1)
 
 
 def duality_check(z: SolenoidPoint, x: NadicRational) -> bool:
@@ -133,18 +135,8 @@ def duality_check(z: SolenoidPoint, x: NadicRational) -> bool:
 
 
 def random_point(n: int, depth: int, seed: int) -> SolenoidPoint:
-    """A deterministic-from-seed compatible point: the deepest angle is
-    chosen freely and the rest follow by theta_k = n * theta_{k+1} mod 1."""
-    if n == 0:
-        raise ValueError("the solenoid parameter must be nonzero")
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    rng = random.Random(seed)
+    """A deterministic-from-seed point: the deepest angle is chosen freely
+    and the rest follow by theta_k = n * theta_{k+1} mod 1."""
+    rng = Random(seed)
     q = rng.randint(1, 60)
-    deepest = RationalAngle.of(rng.randrange(q), q)
-    coords = [deepest]
-    for _ in range(depth):
-        coords.append(coords[-1].scale(n))
-    coords.reverse()
-    return SolenoidPoint(n, tuple(coords))
-
+    return SolenoidPoint(n, depth, (rng.randrange(q), q))

@@ -8,8 +8,9 @@ to check the library against: ``reference_snf_ext``, the earlier
 index-loop Smith form with floor quotients and global re-pivoting, whose
 diagonal the library must match; and, entry for entry, the earlier
 record-based kernel, cokernel, ``solve`` and stable kernel, which built an
-``IntMatrix`` for every intermediate step, and the earlier six-term
-solver, which kept each side and each extension as closures.
+``IntMatrix`` for every intermediate step; the earlier six-term
+solver, which kept each side and each extension as closures; and the
+earlier solenoid, which kept one ``Fraction`` angle per level of a point.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from collections import Counter, namedtuple
 from collections.abc import Callable
+from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -52,10 +55,11 @@ from bs_ktheory.colimit import (
     ladder_cokernel,
     ladder_kernel,
 )
-from bs_ktheory.errors import InvariantViolation, StabilizationOverflow, UnresolvedExtension
+from bs_ktheory.errors import DepthExceeded, InvariantViolation, StabilizationOverflow, UnresolvedExtension
 from bs_ktheory.ledger import KClass, KClassLedger
 from bs_ktheory.pv import KInput, PvSolution, SelfMap, SeqRecord, _audit, _digits, boundary_rule
 from bs_ktheory.presentation import Word
+from bs_ktheory.solenoid import NadicRational
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -689,6 +693,103 @@ def reference_pv_solve(kinput: KInput, apply_boundary_rule: bool = True) -> PvSo
             out = out.with_entry(symbol, entry)
 
     return PvSolution(k0_crossed, k1_crossed, out, seq0.record, seq1_record)
+
+
+# ---------------------------------------------------------------------------
+# the coords-based solenoid: a point kept one Fraction angle per level, its
+# constructor checked each adjacent pair, and the shift dropped the head
+# coordinate. The library keeps only the deepest angle and must give the same
+# angles, the same verdicts and the same errors. Copied from the library as it
+# was, with each name given a reference prefix; NadicRational did not change.
+
+
+class ReferenceAngle(namedtuple("ReferenceAngle", "value")):
+    """e^(2 pi i p/q) as the reduced fraction p/q with 0 <= p/q < 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, value: Fraction):
+        return tuple.__new__(cls, (Fraction(value) % 1,))
+
+    @classmethod
+    def of(cls, p: int, q: int) -> "ReferenceAngle":
+        return cls(Fraction(p, q))
+
+    def scale(self, k: int) -> "ReferenceAngle":
+        return ReferenceAngle(self.value * k)
+
+    def __add__(self, other: "ReferenceAngle") -> "ReferenceAngle":
+        return ReferenceAngle(self.value + other.value)
+
+
+class ReferencePoint(namedtuple("ReferencePoint", "n coords")):
+    """A depth-L truncation (theta_0, ..., theta_L) with n*theta_{k+1} = theta_k mod 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, coords: tuple[ReferenceAngle, ...]):
+        coords = tuple(coords)
+        if n == 0:
+            raise ValueError("the solenoid parameter must be nonzero")
+        if not coords:
+            raise ValueError("a point needs at least the depth-0 coordinate")
+        for k in range(len(coords) - 1):
+            if coords[k + 1].scale(n) != coords[k]:
+                raise ValueError(f"compatibility fails between depths {k} and {k + 1}")
+        return tuple.__new__(cls, (n, coords))
+
+    @property
+    def depth(self) -> int:
+        return len(self.coords) - 1
+
+
+def reference_pairing_raw(z: ReferencePoint, m: int, exp: int) -> ReferenceAngle:
+    """The angle m * theta_exp; a negative ``exp`` indexed from the end."""
+    if exp > z.depth:
+        raise DepthExceeded(f"pairing at level {exp} needs depth >= {exp}, have {z.depth}")
+    return z.coords[exp].scale(m)
+
+
+def reference_pairing(z: ReferencePoint, x: NadicRational) -> ReferenceAngle:
+    if x.n != z.n:
+        raise ValueError("point and element live over different bases")
+    return reference_pairing_raw(z, x.m, x.exp)
+
+
+def reference_dual_shift(z: ReferencePoint) -> ReferencePoint:
+    if z.depth < 1:
+        raise DepthExceeded("shifting needs depth >= 1")
+    return ReferencePoint(z.n, z.coords[1:])
+
+
+def reference_duality_check(z: ReferencePoint, x: NadicRational) -> bool:
+    if z.depth < 1 or z.depth < x.exp:
+        raise DepthExceeded(f"duality at level {x.exp} needs depth >= {max(1, x.exp)}")
+    return reference_pairing(reference_dual_shift(z), x.times_base()) == reference_pairing(z, x)
+
+
+def reference_random_point(n: int, depth: int, seed: int) -> ReferencePoint:
+    if n == 0:
+        raise ValueError("the solenoid parameter must be nonzero")
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    rng = random.Random(seed)
+    q = rng.randint(1, 60)
+    deepest = ReferenceAngle.of(rng.randrange(q), q)
+    coords = [deepest]
+    for _ in range(depth):
+        coords.append(coords[-1].scale(n))
+    coords.reverse()
+    return ReferencePoint(n, tuple(coords))
+
+
+# the library names cli._run_pair imports, mapped to their references
+REFERENCE_SOLENOID = {
+    "pairing": reference_pairing,
+    "pairing_raw": reference_pairing_raw,
+    "duality_check": reference_duality_check,
+    "random_point": reference_random_point,
+}
 
 
 # ---------------------------------------------------------------------------

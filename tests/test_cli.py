@@ -664,3 +664,13 @@ class TestStartup:
             f"print(sorted(m for m in {unused!r} if m in sys.modules))"
         )
         assert last_line_of_clean_interpreter(code) == "[]"
+
+    def test_pair_loads_no_fractions(self):
+        """``bsk pair`` works on int pairs, so it loads neither ``fractions``
+        nor the ``decimal`` that ``fractions`` imports."""
+        code = (
+            "import sys\nfrom bs_ktheory.cli import main\n"
+            "main(['pair', '--n', '-3', '--depth', '6', '--trials', '50'])\n"
+            "print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules))"
+        )
+        assert last_line_of_clean_interpreter(code) == "[]"

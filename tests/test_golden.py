@@ -82,6 +82,17 @@ def _cases() -> list[dict]:
     unresolved = kinput_to_json(bs_input(3))
     unresolved["alpha1"] = {"rung": 1}
     cases.append({"argv": ["pv", "{dir}/in.json"], "files": {"in.json": json.dumps(unresolved)}})
+    # pair on degenerate, negative and odd bases at depths 0, 1 and 64, and at
+    # the deepest depth the command accepts
+    for n in (-1, 1, -9, 7):
+        for depth, seed in ((0, 11), (1, 12), (64, 13)):
+            argv = ["pair", "--n", str(n), "--depth", str(depth), "--seed", str(seed), "--trials", "50"]
+            cases.append({"argv": argv})
+            cases.append({"argv": ["--json", *argv]})
+    for n, seed in ((7, 14), (-9, 15)):
+        argv = ["pair", "--n", str(n), "--depth", "10000", "--seed", str(seed), "--trials", "20"]
+        cases.append({"argv": argv})
+        cases.append({"argv": ["--json", *argv]})
     return cases
 
 

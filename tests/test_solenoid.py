@@ -1,8 +1,9 @@
 import random
-from fractions import Fraction
+from argparse import Namespace
 
 import pytest
 
+from bs_ktheory import cli, solenoid
 from bs_ktheory.errors import DepthExceeded
 from bs_ktheory.solenoid import (
     NadicRational,
@@ -14,21 +15,48 @@ from bs_ktheory.solenoid import (
     pairing_raw,
     random_point,
 )
+from helpers import (
+    REFERENCE_SOLENOID,
+    ReferenceAngle,
+    reference_dual_shift,
+    reference_duality_check,
+    reference_pairing_raw,
+    reference_random_point,
+)
 
 
 def tower(n: int, q0: int, depth: int) -> SolenoidPoint:
-    """The point with theta_k = 1/(q0 * n^k)."""
-    return SolenoidPoint(n, tuple(RationalAngle.of(1, q0 * n**k) for k in range(depth + 1)))
+    """The point with theta_k = 1/(q0 * n^k), for n > 0."""
+    return SolenoidPoint(n, depth, (1, q0 * n**depth))
+
+
+def levels(z: SolenoidPoint) -> tuple[RationalAngle, ...]:
+    """(theta_0, ..., theta_depth): theta_k is the pairing with 1/n^k."""
+    return tuple(pairing_raw(z, 1, k) for k in range(z.depth + 1))
 
 
 class TestTypes:
     def test_angle_normalization(self):
-        assert RationalAngle(Fraction(7, 3)).value == Fraction(1, 3)
-        assert RationalAngle(Fraction(-1, 4)).value == Fraction(3, 4)
+        assert RationalAngle(7, 3) == (1, 3)
+        assert RationalAngle(-1, 4) == (3, 4)
+        assert RationalAngle(6, 8) == (3, 4)
+        assert RationalAngle(-10, 5) == (0, 1)
+        assert (str(RationalAngle(2, 6)), str(RationalAngle(4, 4))) == ("1/3", "0")
+        for q in (0, -3):
+            with pytest.raises(ValueError):
+                RationalAngle(1, q)
 
     def test_compatibility_enforced(self):
-        with pytest.raises(ValueError):
-            SolenoidPoint(2, (RationalAngle.of(1, 3), RationalAngle.of(1, 5)))
+        """A point is kept as its deepest angle, so n * theta_{k+1} = theta_k
+        holds at every level by construction; the constructor rejects what
+        can still be wrong."""
+        z = SolenoidPoint(-3, 5, (7, 20))
+        coords = levels(z)
+        assert coords[-1] == (7, 20)
+        assert all(RationalAngle(-3 * coords[k + 1].p, coords[k + 1].q) == coords[k] for k in range(5))
+        for n, depth, deepest in ((0, 1, (1, 3)), (2, -1, (1, 3)), (2, 1, (1, 0))):
+            with pytest.raises(ValueError):
+                SolenoidPoint(n, depth, deepest)
 
     def test_canonical_form(self):
         x = NadicRational(2, 2, 1)
@@ -49,28 +77,37 @@ class TestTypes:
             assert (x + y).value() == x.value() + y.value()
             assert (-x).value() == -x.value()
             assert x.times_base().value() == x.value() * n
+            assert str(x) == str(x.value())
 
 
 class TestPairing:
     def test_zero_element(self):
         z = random_point(3, 4, seed=5)
-        assert pairing(z, NadicRational(3, 0, 0)).value == 0
+        assert pairing(z, NadicRational(3, 0, 0)) == RationalAngle(0, 1)
 
     def test_tower_example(self):
         z = tower(2, 3, 2)  # theta_k = 1/(3 * 2^k)
-        assert pairing(z, NadicRational(2, 1, 1)).value == Fraction(1, 6)
+        assert pairing(z, NadicRational(2, 1, 1)) == RationalAngle(1, 6)
 
     def test_well_definedness_example(self):
         z = tower(2, 3, 2)
         two_halves = NadicRational(2, 2, 1)
         one = NadicRational(2, 1, 0)
-        assert pairing(z, two_halves).value == Fraction(1, 3)
-        assert pairing(z, one).value == Fraction(1, 3)
+        assert pairing(z, two_halves) == RationalAngle(1, 3)
+        assert pairing(z, one) == RationalAngle(1, 3)
 
     def test_depth_exceeded(self):
         z = tower(2, 3, 1)
         with pytest.raises(DepthExceeded):
             pairing(z, NadicRational(2, 1, 2))
+
+    def test_negative_exponent_rejected(self):
+        """m/n^exp with exp < 0 is not an element's form; it must not be read
+        as a level counted from the deep end."""
+        z = random_point(3, 4, seed=5)
+        for exp in (-1, -5, -6):
+            with pytest.raises(ValueError, match="the exponent must be nonnegative"):
+                pairing_raw(z, 1, exp)
 
     def test_well_definedness_raw(self):
         rng = random.Random(10)
@@ -95,20 +132,20 @@ class TestPairing:
 
 class TestDualShift:
     def test_constant_zero_point(self):
-        z = SolenoidPoint(2, (RationalAngle.of(0, 1),) * 3)
+        z = SolenoidPoint(2, 2, (0, 1))
         shifted = dual_shift(z)
         assert shifted.depth == 1
-        assert all(a.value == 0 for a in shifted.coords)
+        assert levels(shifted) == (RationalAngle(0, 1),) * 2
 
     def test_drop_head(self):
-        z = SolenoidPoint(
-            2, (RationalAngle.of(1, 3), RationalAngle.of(1, 6), RationalAngle.of(7, 12))
-        )
-        assert dual_shift(z).coords == (RationalAngle.of(1, 6), RationalAngle.of(7, 12))
+        z = SolenoidPoint(2, 2, (7, 12))
+        assert levels(z) == ((1, 3), (1, 6), (7, 12))
+        assert levels(dual_shift(z)) == ((1, 6), (7, 12))
 
     def test_small_example(self):
-        z = SolenoidPoint(3, (RationalAngle.of(0, 1), RationalAngle.of(1, 3)))
-        assert dual_shift(z).coords == (RationalAngle.of(1, 3),)
+        z = SolenoidPoint(3, 1, (1, 3))
+        assert levels(z) == ((0, 1), (1, 3))
+        assert levels(dual_shift(z)) == ((1, 3),)
 
     def test_depth_zero_rejected(self):
         with pytest.raises(DepthExceeded):
@@ -116,7 +153,7 @@ class TestDualShift:
 
     def test_double_shift(self):
         z = random_point(5, 4, seed=2)
-        assert dual_shift(dual_shift(z)).coords == z.coords[2:]
+        assert levels(dual_shift(dual_shift(z))) == levels(z)[2:]
 
 
 class TestDuality:
@@ -138,6 +175,16 @@ class TestDuality:
         with pytest.raises(DepthExceeded):
             duality_check(z, NadicRational(2, 1, 0))
 
+    def test_cost_does_not_grow_with_depth(self):
+        """A point of depth 10^9 is three numbers, and each level is one
+        modular power, so building it and checking duality at its deepest
+        level return at once."""
+        depth = 10**9
+        z = random_point(3, depth, seed=6)
+        assert z.depth == depth
+        assert duality_check(z, NadicRational(3, 5, depth))
+        assert pairing_raw(dual_shift(z), 3, 0) == pairing_raw(z, 1, 0)
+
 
 class TestRandomPoint:
     def test_deterministic(self):
@@ -147,6 +194,57 @@ class TestRandomPoint:
 
     def test_compatibility_by_construction(self):
         for seed in range(20):
-            z = random_point(5, 4, seed=seed)
+            coords = levels(random_point(5, 4, seed=seed))
             for k in range(4):
-                assert z.coords[k + 1].scale(5) == z.coords[k]
+                assert RationalAngle(5 * coords[k + 1].p, coords[k + 1].q) == coords[k]
+
+
+BASES = [n for n in range(-9, 10) if n]
+
+
+def as_pair(angle: ReferenceAngle) -> tuple[int, int]:
+    return angle.value.numerator, angle.value.denominator
+
+
+def outcome(f, *args):
+    """What ``f(*args)`` gives, with angles as (p, q) pairs, or the error it raises."""
+    try:
+        value = f(*args)
+    except (ValueError, DepthExceeded) as error:
+        return type(error), str(error)
+    return as_pair(value) if isinstance(value, ReferenceAngle) else value
+
+
+def reference_levels(z) -> tuple[tuple[int, int], ...]:
+    return tuple(map(as_pair, z.coords))
+
+
+class TestAgainstCoordsSolenoid:
+    """The deepest-angle point against the coords-based one it replaced:
+    the same levels, pairings, verdicts, errors and ``bsk pair`` counts."""
+
+    @pytest.mark.parametrize("n", BASES)
+    def test_pairing_shift_and_duality(self, n):
+        rng = random.Random(1000 + n)
+        for depth in [0, 1, 64] + [rng.randint(0, 64) for _ in range(12)]:
+            seed = rng.randrange(2**30)
+            z, ref = random_point(n, depth, seed), reference_random_point(n, depth, seed)
+            assert levels(z) == reference_levels(ref)
+            for _ in range(10):
+                m, exp = rng.randint(-50, 50), rng.randint(0, depth + 2)
+                assert outcome(pairing_raw, z, m, exp) == outcome(reference_pairing_raw, ref, m, exp)
+                x = NadicRational(n, m, exp)
+                assert outcome(duality_check, z, x) == outcome(reference_duality_check, ref, x)
+            shifted = outcome(lambda p: levels(dual_shift(p)), z)
+            assert shifted == outcome(lambda p: reference_levels(reference_dual_shift(p)), ref)
+
+    @pytest.mark.parametrize("n", BASES)
+    def test_run_pair_counts(self, n, monkeypatch):
+        for depth, seed in ((0, 1), (1, 2), (5, 3), (64, 4)):
+            args = Namespace(n=n, depth=depth, seed=seed, trials=30)
+            counts = cli._run_pair(args)[1]
+            with monkeypatch.context() as patch:
+                for name, reference in REFERENCE_SOLENOID.items():
+                    patch.setattr(solenoid, name, reference)
+                assert cli._run_pair(args)[1] == counts
+            assert counts["passed"] > 0 and counts["failed"] == 0
