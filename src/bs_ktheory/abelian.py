@@ -79,14 +79,6 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
-
-    @classmethod
-    def column(cls, vec: Sequence[int]) -> "IntMatrix":
-        return cls(len(vec), 1, tuple(vec))
-
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
@@ -106,32 +98,6 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
         return tuple(sum(x * y for x, y in zip(self.row(i), vec)) for i in range(self.rows))
-
-    def det(self) -> int:
-        """Exact determinant via fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = self.to_rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
 
 
 def _product(a: IntMatrix, b: IntMatrix) -> tuple[int, ...]:
@@ -326,10 +292,6 @@ def _split_diag(diag: tuple[int, ...], count: int) -> tuple[range, range]:
 # groups and homomorphisms
 
 
-def _default_names(count: int) -> tuple[str, ...]:
-    return tuple(f"g{i}" for i in range(count))
-
-
 class FgAbGroup(namedtuple("FgAbGroup", "free_rank torsion gen_names")):
     """A finitely generated abelian group in invariant-factor normal form.
 
@@ -344,7 +306,7 @@ class FgAbGroup(namedtuple("FgAbGroup", "free_rank torsion gen_names")):
     def __new__(cls, free_rank: int, torsion: Sequence[int] = (), gen_names: Sequence[str] | None = None):
         torsion = tuple(torsion)
         if gen_names is None:
-            gen_names = _default_names(free_rank + len(torsion))
+            gen_names = [f"g{i}" for i in range(free_rank + len(torsion))]
         self = tuple.__new__(cls, (free_rank, torsion, tuple(gen_names)))
         self.__post_init__()
         return self
@@ -376,14 +338,6 @@ class FgAbGroup(namedtuple("FgAbGroup", "free_rank torsion gen_names")):
     def free(cls, rank: int, names: Sequence[str] | None = None) -> "FgAbGroup":
         return cls(rank, (), names)
 
-    @classmethod
-    def cyclic(cls, d: int, name: str = "t") -> "FgAbGroup":
-        if d == 0:
-            return cls(1, (), (name,))
-        if abs(d) == 1:
-            return cls.trivial()
-        return cls(0, (abs(d),), (name,))
-
     @property
     def gen_count(self) -> int:
         return self.free_rank + len(self.torsion)
@@ -395,10 +349,7 @@ class FgAbGroup(namedtuple("FgAbGroup", "free_rank torsion gen_names")):
     def order(self) -> int | float:
         if self.free_rank > 0:
             return math.inf
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
+        return math.prod(self.torsion)
 
     def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Canonical representative: torsion coordinates mod their order."""
@@ -462,10 +413,6 @@ class GroupHom(namedtuple("GroupHom", "source target matrix")):
     @classmethod
     def identity(cls, g: FgAbGroup) -> "GroupHom":
         return cls(g, g, IntMatrix.identity(g.gen_count))
-
-    @classmethod
-    def zero(cls, source: FgAbGroup, target: FgAbGroup) -> "GroupHom":
-        return cls(source, target, IntMatrix.zeros(target.gen_count, source.gen_count))
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         return self.target.reduce(self.matrix.apply(vec))
@@ -670,10 +617,6 @@ def generates(g: FgAbGroup, vec: Sequence[int]) -> bool:
 
 # ---------------------------------------------------------------------------
 # JSON forms
-
-
-def matrix_to_json(m: IntMatrix) -> list[list[int]]:
-    return m.to_rows()
 
 
 def json_int(value, what: str) -> int:

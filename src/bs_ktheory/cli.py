@@ -208,10 +208,10 @@ def _run_pair(args):
 
 
 def _run_snf(data):
-    from .abelian import matrix_from_json, matrix_to_json, smith_normal_form
+    from .abelian import matrix_from_json, smith_normal_form
 
     dec = smith_normal_form(matrix_from_json(data))
-    payload = {"diag": list(dec.diag), **{k: matrix_to_json(getattr(dec, k)) for k in "suv"}}
+    payload = {"diag": list(dec.diag), **{k: getattr(dec, k).to_rows() for k in "suv"}}
     return EXIT_OK, payload, lambda: f"diag: {payload['diag']}\n" + "".join(
         f"{k} =\n" + "".join(f"  {row}\n" for row in payload[k]) for k in "suv"
     )

@@ -27,6 +27,7 @@ from .abelian import (
     _from_cols,
     _kernel_ext,
     _product,
+    _snf_ext,
     group_from_json,
     group_to_json,
     json_int,
@@ -108,14 +109,6 @@ class LocObject(namedtuple("LocObject", "loc torsion")):
             raise ValueError("the torsion part must be a finite group")
         return tuple.__new__(cls, (loc, torsion))
 
-    def describe(self) -> str:
-        if self.torsion.is_trivial:
-            return self.loc.describe()
-        return f"{self.loc.describe()} + {self.torsion.describe()}"
-
-    def __str__(self) -> str:
-        return self.describe()
-
 
 AbObject = FgAbGroup | LocObject
 
@@ -155,10 +148,7 @@ def _stabilization_bound(g: FgAbGroup) -> int:
     most free_rank of them are infinite; past those, f^k embeds the rest of
     the chain in the torsion, so the finite steps multiply to at most its order.
     """
-    t = 1
-    for d in g.torsion:
-        t *= d
-    return g.free_rank + t.bit_length() + 2
+    return g.free_rank + math.prod(g.torsion).bit_length() + 2
 
 
 def _stable_kernel(c: ColimModule) -> _KernelData:
@@ -236,8 +226,9 @@ def normalize(c: ColimModule) -> AbObject:
     if r == 0:
         return quotient
 
+    # the bond is invertible over Z exactly when its Smith form is all units
     free_block = [row[:r] for row in bond[:r]]
-    if abs(IntMatrix.from_rows(free_block).det()) == 1:
+    if _snf_ext(IntMatrix.from_rows(free_block), ()).diag.count(1) == r:
         return quotient
 
     torsion_part = FgAbGroup(0, quotient.torsion, quotient.gen_names[r:])

@@ -99,10 +99,8 @@ def ledger_from_json(data: dict) -> KClassLedger:
             if not isinstance(vector, list):
                 raise ValueError(f"coeffs of ledger entry {symbol} must be a list of integers")
             vector = tuple(json_int(x, "a ledger coefficient") for x in vector)
-        entries[symbol] = KClass(
-            raw["group"],
-            vector,
-            order_from_json(raw.get("order")),
-            raw.get("note", ""),
-        )
+        note = raw.get("note", "")
+        if not isinstance(note, str):
+            raise ValueError(f"note of ledger entry {symbol} must be a string")
+        entries[symbol] = KClass(raw["group"], vector, order_from_json(raw.get("order")), note)
     return KClassLedger(entries)

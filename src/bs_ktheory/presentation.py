@@ -258,7 +258,7 @@ def _abelianization_ext(p: Presentation) -> tuple[FgAbGroup, GroupHom]:
     m = len(p.generators)
     free = FgAbGroup.free(m, p.generators)
     relator_source = FgAbGroup.free(1, ("r",))
-    h = GroupHom(relator_source, free, IntMatrix.column(exponent_vector(p)))
+    h = GroupHom(relator_source, free, IntMatrix(m, 1, exponent_vector(p)))
     data = _cokernel_ext(h)
     group = data.group.renamed(_dominant_names(data.proj, p.generators, ""))
     return group, GroupHom(free, group, IntMatrix.from_rows(data.proj, cols=m))

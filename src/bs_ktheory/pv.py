@@ -40,7 +40,6 @@ from .abelian import (
     is_isomorphic,
     json_int,
     matrix_from_json,
-    matrix_to_json,
     solve,
 )
 from .colimit import (
@@ -63,8 +62,9 @@ SelfMap = GroupHom | LadderMap
 class KInput(namedtuple("KInput", "k0 k1 alpha0 alpha1 ledger")):
     """K-theory of the coefficient algebra, ready for the solver.
 
-    The ledger must locate the unit class "[1]" in k0, and the degree-zero
-    self-map must fix it (the automorphism is unital).
+    Ledger entries live in k0, k1 or "unitary"; the ledger must locate the
+    unit class "[1]" in k0, and the degree-zero self-map must fix it (the
+    automorphism is unital).
     """
 
     __slots__ = ()
@@ -73,6 +73,8 @@ class KInput(namedtuple("KInput", "k0 k1 alpha0 alpha1 ledger")):
         _check_side(k0, alpha0, "alpha0")
         _check_side(k1, alpha1, "alpha1")
         for sym, entry in ledger.items():
+            if entry.location not in ("k0", "k1", "unitary"):
+                raise ValueError(f"ledger entry {sym!r} is in {entry.location!r}, which only a solution holds")
             if entry.location in ("k0", "k1"):
                 side = k0 if entry.location == "k0" else k1
                 if entry.vector is None:
@@ -384,7 +386,7 @@ def bs_input(n: int) -> KInput:
 
 def _selfmap_to_json(k: AbObject, alpha: SelfMap) -> dict:
     if isinstance(alpha, GroupHom):
-        return {"matrix": matrix_to_json(alpha.matrix)}
+        return {"matrix": alpha.matrix.to_rows()}
     return {"rung": alpha.rung.matrix.at(0, 0)}
 
 

@@ -67,9 +67,12 @@ class NadicRational(namedtuple("NadicRational", "n m exp")):
             m, exp = m * n**exp, 0
         if m == 0:
             exp = 0
-        while exp > 0 and m % n == 0:
-            m //= n
-            exp -= 1
+        # strip n^k with k doubling, so the cost grows with the digits of exp
+        while exp and m % n == 0:
+            power, k = n, 1
+            while k <= exp and m % power == 0:
+                m, exp = m // power, exp - k
+                power, k = power * power, 2 * k
         return tuple.__new__(cls, (n, m, exp))
 
     def value(self) -> Fraction:

@@ -1,16 +1,18 @@
 """Shared oracles and random generators for the test suite.
 
 The oracles here are deliberately independent of the library's own
-algorithms: minors-gcd invariant factors for Smith form, brute-force
-element chasing on finite stages for colimits, and a letter-by-letter
-proper-power detector for relators. The exceptions are references kept
-to check the library against: ``reference_snf_ext``, the earlier
-index-loop Smith form with floor quotients and global re-pivoting, whose
-diagonal the library must match; and, entry for entry, the earlier
-record-based kernel, cokernel, ``solve`` and stable kernel, which built an
-``IntMatrix`` for every intermediate step; the earlier six-term
-solver, which kept each side and each extension as closures; and the
-earlier solenoid, which kept one ``Fraction`` angle per level of a point.
+algorithms: minors-gcd invariant factors for Smith form, with a Bareiss
+determinant of their own, brute-force element chasing on finite stages for
+colimits, and a letter-by-letter proper-power detector for relators. The
+exceptions are references kept to check the library against:
+``reference_snf_ext``, the earlier index-loop Smith form with floor
+quotients and global re-pivoting, whose diagonal the library must match;
+and, entry for entry, the earlier record-based kernel, cokernel, ``solve``
+and stable kernel, which built an ``IntMatrix`` for every intermediate
+step; the earlier six-term solver, which kept each side and each extension
+as closures; the earlier solenoid, which kept one ``Fraction`` angle per
+level of a point; and the earlier canonical form of ``NadicRational``,
+which removed one factor of n at a time.
 """
 
 from __future__ import annotations
@@ -189,6 +191,34 @@ def ladder_cokernel_oracle(stage: FgAbGroup, bond: GroupHom, rung: GroupHom) -> 
 # the gcd-of-minors oracle for Smith normal form
 
 
+def det(a: IntMatrix) -> int:
+    """Exact determinant via fraction-free (Bareiss) elimination, kept apart
+    from the library's one elimination core so that it can check it."""
+    if a.rows != a.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = a.rows
+    if n == 0:
+        return 1
+    m = a.to_rows()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
 def minors_invariant_factors(m: IntMatrix) -> list[int]:
     r = min(m.rows, m.cols)
     out = []
@@ -200,7 +230,7 @@ def minors_invariant_factors(m: IntMatrix) -> list[int]:
                 sub = IntMatrix.from_rows(
                     [[m.at(i, j) for j in cols_sel] for i in rows_sel], cols=k
                 )
-                g = math.gcd(g, sub.det())
+                g = math.gcd(g, det(sub))
         if g == 0:
             out.extend([0] * (r - len(out)))
             break
@@ -700,7 +730,8 @@ def reference_pv_solve(kinput: KInput, apply_boundary_rule: bool = True) -> PvSo
 # constructor checked each adjacent pair, and the shift dropped the head
 # coordinate. The library keeps only the deepest angle and must give the same
 # angles, the same verdicts and the same errors. Copied from the library as it
-# was, with each name given a reference prefix; NadicRational did not change.
+# was, with each name given a reference prefix; it shares the library's
+# NadicRational, whose canonical form reference_nadic_canonical pins.
 
 
 class ReferenceAngle(namedtuple("ReferenceAngle", "value")):
@@ -781,6 +812,18 @@ def reference_random_point(n: int, depth: int, seed: int) -> ReferencePoint:
         coords.append(coords[-1].scale(n))
     coords.reverse()
     return ReferencePoint(n, tuple(coords))
+
+
+def reference_nadic_canonical(n: int, m: int, exp: int) -> tuple[int, int, int]:
+    """(n, m, exp) of the canonical m / n^exp, removing one factor of n at a time."""
+    if abs(n) == 1:
+        m, exp = m * n**exp, 0
+    if m == 0:
+        exp = 0
+    while exp > 0 and m % n == 0:
+        m //= n
+        exp -= 1
+    return n, m, exp
 
 
 # the library names cli._run_pair imports, mapped to their references
@@ -900,7 +943,7 @@ def polynomial_in(b: GroupHom, coeffs) -> GroupHom:
     """c0 + c1 b + c2 b^2 + ...; commutes with b by construction."""
     g = b.source
     n = g.gen_count
-    acc = IntMatrix.zeros(n, n)
+    acc = IntMatrix(n, n, (0,) * (n * n))
     power = IntMatrix.identity(n)
     for c in coeffs:
         acc = IntMatrix(

@@ -20,6 +20,7 @@ from bs_ktheory.abelian import (
     solve,
 )
 from helpers import (
+    det,
     finite_elements,
     group_order_multiset,
     minors_invariant_factors,
@@ -35,8 +36,8 @@ ALL_TRANSFORMS = ("u_rows", "vt", "uit")
 def snf_invariants_hold(a: IntMatrix) -> None:
     dec = smith_normal_form(a)
     assert dec.u @ a @ dec.v == dec.s
-    assert abs(dec.u.det()) == 1
-    assert abs(dec.v.det()) == 1
+    assert abs(det(dec.u)) == 1
+    assert abs(det(dec.v)) == 1
     diag = dec.diag
     assert all(d >= 0 for d in diag)
     nonzero = [d for d in diag if d]
@@ -58,7 +59,7 @@ def assert_reference_diagonal(a: IntMatrix) -> None:
     assert dec.diag == tuple(ref.s.at(i, i) for i in range(min(r, c))), a
     assert dec.u @ a @ dec.v == dec.s == ref.s, a
     assert dec.u @ dec.u_inv == IntMatrix.identity(r), a
-    assert abs(dec.u.det()) == abs(dec.v.det()) == 1, a
+    assert abs(det(dec.u)) == abs(det(dec.v)) == 1, a
 
 
 class TestSmithNormalForm:
@@ -81,12 +82,12 @@ class TestSmithNormalForm:
 
     def test_empty_and_zero(self):
         snf_invariants_hold(IntMatrix(0, 0, ()))
-        snf_invariants_hold(IntMatrix.zeros(2, 3))
-        assert smith_normal_form(IntMatrix.zeros(2, 3)).diag == (0, 0)
+        snf_invariants_hold(IntMatrix(2, 3, (0,) * 6))
+        assert smith_normal_form(IntMatrix(2, 3, (0,) * 6)).diag == (0, 0)
         for r, c in ((0, 3), (3, 0)):
-            dec = smith_normal_form(IntMatrix.zeros(r, c))
+            dec = smith_normal_form(IntMatrix(r, c, ()))
             assert dec.diag == () and (dec.u, dec.v) == (IntMatrix.identity(r), IntMatrix.identity(c))
-            assert_reference_diagonal(IntMatrix.zeros(r, c))
+            assert_reference_diagonal(IntMatrix(r, c, ()))
         a = IntMatrix.from_rows([[0, 0], [0, 0], [3, -7]])
         assert smith_normal_form(a).diag == (1, 0)
         assert_reference_diagonal(a)
@@ -200,19 +201,19 @@ class TestNoCoercion:
         with pytest.raises(ValueError):
             IntMatrix.from_rows([[1.5]])
         with pytest.raises(ValueError):
-            IntMatrix.column([2, 1.0])
+            IntMatrix(2, 1, (2, 1.0))
 
     def test_fraction_matrix_entry_rejected(self):
         with pytest.raises(ValueError):
             IntMatrix.from_rows([[1, Fraction(2)]])
         with pytest.raises(ValueError):
-            IntMatrix.column([Fraction(3, 1)])
+            IntMatrix(1, 1, (Fraction(3, 1),))
 
     def test_bool_matrix_entry_rejected(self):
         with pytest.raises(ValueError):
             IntMatrix.from_rows([[True, False]])
         with pytest.raises(ValueError):
-            IntMatrix.column([2, True])
+            IntMatrix(2, 1, (2, True))
 
     def test_float_torsion_rejected(self):
         with pytest.raises(ValueError):

@@ -29,6 +29,10 @@ def run_process(*argv):
     )
 
 
+# a ledger entry in a location that only a solution holds
+CROSSED_ENTRY = {"group": "crossed0", "coeffs": [1, 2, 3], "order": 7, "note": "a"}
+
+
 def assert_one_line_error(err):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
@@ -159,10 +163,12 @@ class TestPv:
             lambda d: d["k1"].update(symbol=3),
             lambda d: d["k1"].update(symbol=None),
             lambda d: d["k1"].update(symbol=["v"]),
+            lambda d: d["ledger"].update({"[x]": {**CROSSED_ENTRY, "note": ["a"]}}),
+            lambda d: d["ledger"].update({"[x]": CROSSED_ENTRY}),
         ],
         ids=["rung-empty-list", "rung-flat-list", "gens-not-a-list", "k0-not-an-object",
              "alpha0-not-an-object", "ledger-not-an-object", "ledger-entry-not-an-object",
-             "symbol-int", "symbol-null", "symbol-list"],
+             "symbol-int", "symbol-null", "symbol-list", "note-not-a-string", "output-only-location"],
     )
     def test_malformed_shape_rejected(self, capsys, tmp_path, corrupt):
         payload = kinput_to_json(bs_input(3))

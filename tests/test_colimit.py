@@ -19,6 +19,7 @@ from bs_ktheory.colimit import (
 from bs_ktheory.errors import UnsupportedColimitShape
 from helpers import (
     colim_oracle,
+    det,
     group_order_multiset,
     ladder_cokernel_oracle,
     ladder_kernel_oracle,
@@ -103,6 +104,37 @@ class TestNormalize:
         with pytest.raises(UnsupportedColimitShape):
             normalize(ColimModule(g, diagonal))
 
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_free_stage_kept_exactly_when_unimodular(self, rank):
+        """A free stage of rank >= 2 under an injective bond is the colimit
+        when the bond has |det| = 1 and no supported shape otherwise."""
+        rng = random.Random(1400 + rank)
+        g = FgAbGroup.free(rank)
+        outcomes = set()
+        for trial in range(80):
+            if trial % 2:
+                rows = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rank)]
+            else:
+                # row operations on the identity, then one row scaled
+                rows = [[int(i == j) for j in range(rank)] for i in range(rank)]
+                for _ in range(3 * rank):
+                    i, j = rng.sample(range(rank), 2)
+                    q = rng.randint(-2, 2)
+                    rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+                k = rng.choice((1, 1, -1, 2, -3))
+                rows[0] = [k * x for x in rows[0]]
+            d = det(IntMatrix.from_rows(rows))
+            if d == 0:
+                continue  # not injective: normalize quotients by the kernel first
+            c = ColimModule(g, GroupHom(g, g, IntMatrix.from_rows(rows)))
+            if abs(d) == 1:
+                assert normalize(c) == g, rows
+            else:
+                with pytest.raises(UnsupportedColimitShape):
+                    normalize(c)
+            outcomes.add(abs(d) == 1)
+        assert outcomes == {True, False}
+
     def test_zero_bond_kills_everything(self):
         assert normalize(scalar_colim(0)).is_trivial
 
@@ -127,7 +159,7 @@ class TestLadderValidation:
         g = FgAbGroup.free(2)
         bond = GroupHom(g, g, IntMatrix.from_rows([[2, 1], [0, 3]]))
         c = ColimModule(g, bond)
-        zero_rung = GroupHom.zero(g, g)
+        zero_rung = GroupHom(g, g, IntMatrix(2, 2, (0,) * 4))
         with pytest.raises(UnsupportedColimitShape):
             ladder_cokernel(LadderMap(c, c, zero_rung))
         with pytest.raises(UnsupportedColimitShape):

@@ -2,6 +2,8 @@
 the object of the module that defines it."""
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -44,3 +46,12 @@ def test_star_import():
     del namespace["__builtins__"]
     assert sorted(namespace) == bs_ktheory.__all__
     assert all(value is getattr(bs_ktheory, name) for name, value in namespace.items())
+
+
+def test_console_script_is_cli_main():
+    # read without tomllib, which the oldest supported Python lacks
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    targets = dict(re.findall(r'^(\S+)\s*=\s*"([^"]+)"', scripts, re.M))
+    module, _, attr = targets["bsk"].partition(":")
+    assert getattr(importlib.import_module(module), attr) is importlib.import_module("bs_ktheory.cli").main

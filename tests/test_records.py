@@ -91,7 +91,7 @@ def _records() -> dict:
     return {
         "IntMatrix": IntMatrix(1, 2, (3, 4)),
         "FgAbGroup": FgAbGroup(1, [2]),
-        "GroupHom": GroupHom(z, FgAbGroup.cyclic(4), IntMatrix(1, 1, (2,))),
+        "GroupHom": GroupHom(z, FgAbGroup(0, (4,), ("t",)), IntMatrix(1, 1, (2,))),
         "LocalizedInt": LocalizedInt(6),
         "LocObject": LocObject(LocalizedInt(6)),
         "ColimModule": colim,

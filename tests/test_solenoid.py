@@ -1,4 +1,5 @@
 import random
+import time
 from argparse import Namespace
 
 import pytest
@@ -20,6 +21,7 @@ from helpers import (
     ReferenceAngle,
     reference_dual_shift,
     reference_duality_check,
+    reference_nadic_canonical,
     reference_pairing_raw,
     reference_random_point,
 )
@@ -67,6 +69,23 @@ class TestTypes:
         assert (x.m, x.exp) == (3, 0)
         x = NadicRational(3, 6, 2)
         assert (x.m, x.exp) == (2, 1)
+
+    def test_canonical_form_matches_division_loop(self):
+        rng = random.Random(20000)
+        for _ in range(20000):
+            n = rng.choice((-1, 1)) * rng.randint(2, 9)
+            m = rng.randint(-60, 60) * n ** rng.randint(0, 40) * rng.choice((1, 1, 7, 10))
+            exp = rng.randint(0, 50)
+            assert tuple(NadicRational(n, m, exp)) == reference_nadic_canonical(n, m, exp), (n, m, exp)
+
+    def test_canonical_form_cost_grows_with_digits(self):
+        """Factors of n leave by powers n^k with k doubling; one at a time,
+        this input took about 0.9 s."""
+        start = time.perf_counter()
+        x = NadicRational(3, 3**40000, 40000)
+        assert time.perf_counter() - start < 0.25
+        assert (x.m, x.exp) == (1, 0)
+        assert NadicRational(-2, 5 * 2**30002, 30001) == (-2, -10, 0)
 
     def test_arithmetic_matches_fractions(self):
         rng = random.Random(9)

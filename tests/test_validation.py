@@ -1,0 +1,189 @@
+"""Each validation branch of the records and the solver input raises its
+own message; every case here is reached by no other test."""
+
+import math
+import re
+
+import pytest
+
+from bs_ktheory.abelian import FgAbGroup, GroupHom, IntMatrix, solve
+from bs_ktheory.cli import main
+from bs_ktheory.colimit import ColimModule, LadderMap, LocalizedInt, LocObject, coprime_part
+from bs_ktheory.ledger import KClass, KClassLedger
+from bs_ktheory.presentation import ComplexHomology, Presentation, Word
+from bs_ktheory.pv import KInput
+from bs_ktheory.solenoid import NadicRational, pairing, random_point
+
+Z = FgAbGroup.free(1, ("x",))
+Z2 = FgAbGroup.free(2, ("x", "y"))
+TRIVIAL = FgAbGroup.trivial()
+
+
+def raises(message: str):
+    return pytest.raises(ValueError, match=f"^{re.escape(message)}$")
+
+
+def ladder(n: int, rung: int) -> LadderMap:
+    colim = LocalizedInt(n).as_colim()
+    return LadderMap(colim, colim, GroupHom(colim.stage, colim.stage, IntMatrix(1, 1, (rung,))))
+
+
+class TestCheckSide:
+    """The self-map of each degree must have the shape of its group."""
+
+    def kinput(self, k1, alpha1):
+        unit = KClassLedger({"[1]": KClass("k0", (1,), math.inf)})
+        return KInput(Z, k1, GroupHom.identity(Z), alpha1, unit)
+
+    def test_fg_side_needs_a_group_hom(self):
+        with raises("alpha1 must be a GroupHom for a finitely generated side"):
+            self.kinput(TRIVIAL, ladder(2, 2))
+
+    def test_fg_side_needs_a_self_map(self):
+        with raises("alpha1 must be a self-map of its group"):
+            self.kinput(TRIVIAL, GroupHom.identity(Z))
+
+    def test_localized_side_needs_a_ladder(self):
+        with raises("alpha1 must be a LadderMap for a localized side"):
+            self.kinput(LocObject(LocalizedInt(2)), GroupHom.identity(Z))
+
+    def test_localized_side_needs_a_self_map(self):
+        # 2r = 3r only for r = 0, so the zero rung is the one ladder from c2 to c3
+        c2, c3 = LocalizedInt(2).as_colim(), LocalizedInt(3).as_colim()
+        zero = LadderMap(c2, c3, GroupHom(c2.stage, c3.stage, IntMatrix(1, 1, (0,))))
+        with raises("alpha1 must be a self-map"):
+            self.kinput(LocObject(LocalizedInt(2)), zero)
+
+    def test_localized_side_needs_a_rank_one_stage(self):
+        c = ColimModule(Z2, GroupHom.identity(Z2))
+        with raises("alpha1 must act on the rank-one stage of the localization"):
+            self.kinput(LocObject(LocalizedInt(2)), LadderMap(c, c, GroupHom.identity(Z2)))
+
+    def test_localized_bond_is_the_inverted_element(self):
+        with raises("alpha1 bond must be multiplication by the inverted element"):
+            self.kinput(LocObject(LocalizedInt(2)), ladder(3, 1))
+
+    def test_localized_side_without_torsion(self):
+        with raises("localized sides with torsion are not supported as solver input"):
+            self.kinput(LocObject(LocalizedInt(2), FgAbGroup(0, (3,))), ladder(2, 1))
+
+    def test_unsupported_representation(self):
+        with raises("unsupported representation for alpha1"):
+            self.kinput(LocalizedInt(2), ladder(2, 1))
+
+
+class TestKInputUnit:
+    def test_unit_of_finite_order(self):
+        k0 = FgAbGroup(0, (2,), ("1",))
+        ledger = KClassLedger({"[1]": KClass("k0", (1,), None)})
+        with raises('"[1]" must have infinite order (unital algebra)'):
+            KInput(k0, TRIVIAL, GroupHom.identity(k0), GroupHom.identity(TRIVIAL), ledger)
+
+    def test_localized_unit_is_nonzero(self):
+        ledger = KClassLedger({"[1]": KClass("k0", (0,), None)})
+        with raises('"[1]" must be nonzero'):
+            KInput(LocObject(LocalizedInt(2)), TRIVIAL, ladder(2, 1), GroupHom.identity(TRIVIAL), ledger)
+
+    def test_localized_unit_is_fixed(self):
+        ledger = KClassLedger({"[1]": KClass("k0", (1,), None)})
+        with raises("alpha0 must fix the unit class"):
+            KInput(LocObject(LocalizedInt(2)), TRIVIAL, ladder(2, 3), GroupHom.identity(TRIVIAL), ledger)
+
+    @pytest.mark.parametrize("location", ["crossed0", "crossed1"])
+    def test_solution_locations_are_not_input(self, location):
+        ledger = KClassLedger({"[1]": KClass("k0", (1,), math.inf), "[x]": KClass(location, (1,), None)})
+        with raises(f"ledger entry '[x]' is in {location!r}, which only a solution holds"):
+            KInput(Z, TRIVIAL, GroupHom.identity(Z), GroupHom.identity(TRIVIAL), ledger)
+
+
+class TestAbelianRecords:
+    @pytest.mark.parametrize("rows, cols", [(-1, 0), (0, -1)])
+    def test_negative_dimensions(self, rows, cols):
+        with raises("matrix dimensions must be nonnegative"):
+            IntMatrix(rows, cols, ())
+
+    def test_entry_count(self):
+        with raises("entry count does not match dimensions"):
+            IntMatrix(2, 2, (1, 2, 3))
+
+    def test_negative_free_rank(self):
+        with raises("free rank must be nonnegative"):
+            FgAbGroup(-1)
+
+    def test_duplicate_names(self):
+        with raises("generator names must be unique"):
+            FgAbGroup(1, (2,), ("a", "a"))
+
+    def test_reduce_length(self):
+        with raises("vector length does not match generator count"):
+            Z2.reduce((1,))
+
+    def test_apply_length(self):
+        with raises("vector length does not match column count"):
+            IntMatrix(1, 2, (1, 2)).apply((1, 2, 3))
+
+    def test_solve_length(self):
+        with raises("vector length does not match target generator count"):
+            solve(GroupHom.identity(Z), (1, 0))
+
+
+class TestColimitRecords:
+    def test_coprime_part_of_zero(self):
+        with raises("coprime_part of 0 is undefined"):
+            coprime_part(0, 6)
+
+    def test_loc_object_torsion_is_finite(self):
+        with raises("the torsion part must be a finite group"):
+            LocObject(LocalizedInt(2), FgAbGroup(1))
+
+    def test_colim_bond_is_a_self_map(self):
+        with raises("the bond must be a self-map of the stage"):
+            ColimModule(Z, GroupHom(Z, Z2, IntMatrix(2, 1, (1, 0))))
+
+    def test_ladder_endpoints(self):
+        c = LocalizedInt(2).as_colim()
+        with raises("rung endpoints must match the stage groups"):
+            LadderMap(c, c, GroupHom.identity(Z2))
+
+
+class TestPresentationRecords:
+    def test_duplicate_generators(self):
+        with raises("generator names must be distinct"):
+            Presentation(("a", "a"), Word())
+
+    def test_out_of_range_index(self):
+        with raises("relator uses an out-of-range generator index"):
+            Presentation(("a",), Word(((1, 1),)))
+
+    def test_h0_is_z(self):
+        with raises("h0 of a connected complex must be Z"):
+            ComplexHomology(Z2, Z, TRIVIAL, "pt", GroupHom.identity(Z))
+
+    def test_h2_is_z_or_zero(self):
+        with raises("h2 of a one-relator complex is Z or 0"):
+            ComplexHomology(Z, Z, Z2, "pt", GroupHom.identity(Z))
+
+
+class TestSolenoidRecords:
+    def test_base_zero(self):
+        with raises("the inverted base must be nonzero"):
+            NadicRational(0, 1, 0)
+
+    def test_negative_exponent(self):
+        with raises("the exponent must be nonnegative"):
+            NadicRational(2, 1, -1)
+
+    def test_addition_over_different_bases(self):
+        with raises("cannot add over different bases"):
+            NadicRational(2, 1, 1) + NadicRational(3, 1, 1)
+
+    def test_pairing_over_different_bases(self):
+        with raises("point and element live over different bases"):
+            pairing(random_point(2, 3, seed=1), NadicRational(3, 1, 1))
+
+
+def test_pair_negative_depth_exits_2(capsys):
+    code = main(["pair", "--n", "2", "--depth", "-1", "--trials", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: depth and trials must be nonnegative\n"
