@@ -8,9 +8,10 @@ uses Python ints, so the arithmetic is exact at any magnitude.
 
 There is one Smith-form core, ``_snf_ext``: it reduces by nearest
 remainders, clearing the pivot's column and then its row by passes local to
-each. It returns one result type, ``SnfDecomposition``: the diagonal and
-the transforms its caller asks for, among u, v and u's inverse, tracked
-during elimination rather than inverted after and kept as the row lists the
+each, with one 2x2 row step where a column pass leaves remainders. It
+returns one result type, ``SnfDecomposition``: the diagonal and the
+transforms its caller asks for, among u, v and u's inverse, tracked during
+elimination rather than inverted after and kept as the row lists the
 elimination produces. ``_split_diag`` reads the free and torsion
 coordinates off the diagonal for every caller.
 
@@ -176,11 +177,14 @@ def _snf_ext(a: IntMatrix, track: Sequence[str]) -> SnfDecomposition:
     trailing submatrix, first in row-major order, so the output is
     deterministic. An entry e is reduced by the nearest multiple q * p of
     the pivot p: |e - q * p| <= |p| / 2, and at equality q = e // p. Column
-    t is cleared by passes within it, each ending with the row of least
-    remainder as the new pivot row; row t is cleared the same way, the
-    column of its least remainder becoming column t. Unless the pivot is a
-    unit, the first row with an entry it does not divide is then added to
-    row t, and both are cleared again.
+    t is cleared by passes within it. A pass that leaves remainders runs
+    Euclid, by the same rule, on the pivot and the least of them (the first
+    in row order) alone; its 2x2 transform, applied once to the two rows,
+    leaves their gcd as the pivot and 0 below it, and the next pass starts
+    from there (Bradley, Math. Comp. 25, 1971). Row t is cleared by passes
+    too, the column of its least remainder becoming column t. Unless the
+    pivot is a unit, the first row with an entry it does not divide is then
+    added to row t, and both are cleared again.
 
     Rows t and below are zero left of column t, so a row operation rewrites
     only the suffix from column t, and a column operation only row t. The
@@ -234,6 +238,23 @@ def _snf_ext(a: IntMatrix, track: Sequence[str]) -> SnfDecomposition:
                     if e and (i == t or abs(e) < low):
                         i, low = k, abs(e)
             if i != t:
+                # Euclid on p and m[i][t] alone, applied to rows t and i as one 2x2 E
+                g, h, e00, e01, e10, e11 = p, m[i][t], 1, 0, 0, 1
+                while h:
+                    q, e = divmod(g, h)
+                    if 2 * abs(e) > abs(h):
+                        q, e = q + 1, e - h
+                    g, h, e00, e01, e10, e11 = h, e, e10, e11, e00 - q * e10, e01 - q * e11
+                d = e00 * e11 - e01 * e10
+                for rows, s, (a0, a1, b0, b1) in (
+                    (m, t, (e00, e01, e10, e11)),
+                    (u, 0, (e00, e01, e10, e11)),
+                    (uit, 0, (d * e11, -d * e10, -d * e01, d * e00)),  # E's inverse, transposed
+                ):
+                    rt, ri = rows[t][s:], rows[i][s:]
+                    rows[t][s:] = [a0 * x + a1 * y for x, y in zip(rt, ri)]
+                    rows[i][s:] = [b0 * x + b1 * y for x, y in zip(rt, ri)]
+                i = t
                 continue
 
             for k in range(t + 1, c):
@@ -416,15 +437,6 @@ class GroupHom(namedtuple("GroupHom", "source target matrix")):
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         return self.target.reduce(self.matrix.apply(vec))
-
-    def compose(self, other: "GroupHom") -> "GroupHom":
-        """self o other (apply ``other`` first)."""
-        if other.target != self.source:
-            raise ValueError("composition mismatch")
-        return GroupHom(other.source, self.target, self.matrix @ other.matrix)
-
-    def is_zero(self) -> bool:
-        return all(not any(self.apply(_basis_vec(self.source.gen_count, j))) for j in range(self.source.gen_count))
 
 
 def _basis_vec(n: int, j: int) -> tuple[int, ...]:

@@ -75,13 +75,20 @@ def _read_text(path: str) -> str:
         return f.read()
 
 
+def _parse_json(text: str):
+    try:
+        return json.loads(text)
+    except RecursionError:  # the decoder recurses once per level of nesting
+        raise ValueError("JSON input is nested too deeply") from None
+
+
 def _load_json(literal_or_path: str):
     text = literal_or_path
     if not text.lstrip().startswith("["):
         if not os.path.exists(literal_or_path):
             raise ValueError(f"no such file: {literal_or_path}")
         text = _read_text(literal_or_path)
-    return json.loads(text)
+    return _parse_json(text)
 
 
 def _parse_presentation(args):
@@ -220,7 +227,7 @@ def _run_snf(data):
 # command -> (read its input from the arguments, handler)
 COMMANDS = {
     "bs": (lambda args: args.n, _run_bs),
-    "pv": (lambda args: json.loads(_read_text(args.input_path)), _run_pv),
+    "pv": (lambda args: _parse_json(_read_text(args.input_path)), _run_pv),
     "homology": (_parse_presentation, _run_homology),
     "khom": (_parse_presentation, _run_khom),
     "pair": (lambda args: args, _run_pair),

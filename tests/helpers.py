@@ -7,6 +7,8 @@ colimits, and a letter-by-letter proper-power detector for relators. The
 exceptions are references kept to check the library against:
 ``reference_snf_ext``, the earlier index-loop Smith form with floor
 quotients and global re-pivoting, whose diagonal the library must match;
+``reference_pair_snf_ext``, the library's Smith form with its pair step
+taken one quotient at a time, which it must match field for field;
 and, entry for entry, the earlier record-based kernel, cokernel, ``solve``
 and stable kernel, which built an ``IntMatrix`` for every intermediate
 step; the earlier six-term solver, which kept each side and each extension
@@ -375,6 +377,110 @@ def reference_snf_ext(a: IntMatrix) -> _SnfExt:
 
 
 # ---------------------------------------------------------------------------
+# the pair Euclid one quotient at a time: the library settles a column pass's
+# least remainder against the pivot with one 2x2 transform, and must produce
+# the same diagonal and transforms as this, which takes one row update per
+# quotient
+
+
+def reference_pair_snf_ext(a: IntMatrix, track: Sequence[str]) -> tuple:
+    """``_snf_ext(a, track)`` as (diag, u_rows, vt, uit), with the pair step
+    written as ``row_t -= q * row_i``, then a swap, until ``m[i][t] == 0``."""
+    r, c = a.rows, a.cols
+    m = a.to_rows()
+
+    def start(name: str, n: int) -> list[list[int]]:
+        return IntMatrix.identity(n).to_rows() if name in track else [[] for _ in range(n)]
+
+    u, uit, vt = start("u_rows", r), start("uit", r), start("vt", c)
+
+    def nearest(x: int, p: int) -> tuple[int, int]:
+        q, e = divmod(x, p)
+        return (q + 1, e - p) if 2 * abs(e) > abs(p) else (q, e)
+
+    def swap_rows(i: int, k: int) -> None:
+        for rows in (m, u, uit):
+            rows[i], rows[k] = rows[k], rows[i]
+
+    t = 0
+    limit = min(r, c)
+    while t < limit:
+        entries = [(abs(m[i][j]), i, j) for i in range(t, r) for j in range(t, c) if m[i][j]]
+        if not entries:
+            break
+        _, i, j = min(entries)
+        swap_rows(t, i)
+        for row in m:
+            row[t], row[j] = row[j], row[t]
+        vt[t], vt[j] = vt[j], vt[t]
+        while True:
+            p = m[t][t]
+            i = None
+            for k in range(t + 1, r):
+                if m[k][t]:
+                    q, e = nearest(m[k][t], p)
+                    m[k] = [x - q * y for x, y in zip(m[k], m[t])]
+                    u[k] = [x - q * y for x, y in zip(u[k], u[t])]
+                    uit[t] = [x + q * y for x, y in zip(uit[t], uit[k])]
+                    if e and (i is None or abs(e) < abs(m[i][t])):
+                        i = k
+            if i is not None:
+                while m[i][t]:
+                    q, _ = nearest(m[t][t], m[i][t])
+                    m[t] = [x - q * y for x, y in zip(m[t], m[i])]
+                    u[t] = [x - q * y for x, y in zip(u[t], u[i])]
+                    uit[i] = [x + q * y for x, y in zip(uit[i], uit[t])]
+                    swap_rows(t, i)
+                continue
+
+            j = None
+            for k in range(t + 1, c):
+                if m[t][k]:
+                    q, e = nearest(m[t][k], p)
+                    m[t][k] = e
+                    vt[k] = [x - q * y for x, y in zip(vt[k], vt[t])]
+                    if e and (j is None or abs(e) < abs(m[t][j])):
+                        j = k
+            if j is not None:
+                for row in m:
+                    row[t], row[j] = row[j], row[t]
+                vt[t], vt[j] = vt[j], vt[t]
+                continue
+
+            if abs(p) != 1:
+                k = next((h for h in range(t + 1, r) if any(x % p for x in m[h][t + 1 :])), None)
+                if k is not None:
+                    m[t] = [x + y for x, y in zip(m[t], m[k])]
+                    u[t] = [x + y for x, y in zip(u[t], u[k])]
+                    uit[k] = [x - y for x, y in zip(uit[k], uit[t])]
+                    continue
+            break
+
+        if m[t][t] < 0:
+            m[t] = [-x for x in m[t]]
+            u[t] = [-x for x in u[t]]
+            uit[t] = [-x for x in uit[t]]
+        t += 1
+
+    return tuple(m[i][i] for i in range(limit)), u, vt, uit
+
+
+# ---------------------------------------------------------------------------
+# homomorphism algebra only the tests use
+
+
+def compose(f: GroupHom, g: GroupHom) -> GroupHom:
+    """f o g (apply ``g`` first)."""
+    if g.target != f.source:
+        raise ValueError("composition mismatch")
+    return GroupHom(g.source, f.target, f.matrix @ g.matrix)
+
+
+def is_zero(h: GroupHom) -> bool:
+    return not any(any(h.apply(basis_vec)) for basis_vec in IntMatrix.identity(h.source.gen_count).to_rows())
+
+
+# ---------------------------------------------------------------------------
 # the record-based kernel, cokernel, solve and stable kernel: the library's
 # row-list versions must give the same groups, names, matrices and solutions.
 # Copied from the library as it was, with FgAbGroup.relation_matrix as a
@@ -509,9 +615,9 @@ def reference_stable_kernel(c: ColimModule) -> tuple[FgAbGroup, GroupHom]:
     bound = _stabilization_bound(c.stage)
     prev_power = GroupHom.identity(c.stage)
     for _ in range(bound + 1):
-        power = c.bond.compose(prev_power)
+        power = compose(c.bond, prev_power)
         k, inc = reference_kernel_ext(power)
-        if prev_power.compose(inc).is_zero():
+        if is_zero(compose(prev_power, inc)):
             # ker(bond^n) is contained in ker(bond^(n-1)): chain stopped
             return k, inc
         prev_power = power

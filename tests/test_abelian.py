@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -20,12 +21,15 @@ from bs_ktheory.abelian import (
     solve,
 )
 from helpers import (
+    compose,
     det,
     finite_elements,
     group_order_multiset,
+    is_zero,
     minors_invariant_factors,
     random_group,
     random_hom,
+    reference_pair_snf_ext,
     reference_snf_ext,
 )
 
@@ -195,6 +199,32 @@ class TestSmithNormalForm:
             assert same == tuple(name in track for name in ALL_TRANSFORMS)
             assert dec.v_inv.entries == ()
 
+    @pytest.mark.parametrize(
+        "track",
+        [track for k in range(4) for track in itertools.combinations(ALL_TRANSFORMS, k)],
+        ids=lambda track: "+".join(track) or "none",
+    )
+    def test_pair_step_matches_quotient_by_quotient(self, track):
+        # one 2x2 transform per pair leaves what one row update per quotient would
+        rng = random.Random(707)
+        shapes = [(r, c, bound) for r in range(9) for c in range(9) for bound in (1, 3, 20, 10**6)]
+        shapes += [(24, 28, 20), (28, 26, 20)]
+        for r, c, bound in shapes:
+            a = IntMatrix(r, c, tuple(rng.randint(-bound, bound) for _ in range(r * c)))
+            assert tuple(_snf_ext(a, track)) == reference_pair_snf_ext(a, track), a
+
+    def test_pair_step_pinned(self):
+        # the first pass leaves -2 and 3 under the pivot 6, and the pair step
+        # on (6, -2) leaves -2; the next pass leaves -1 under it, and the pair
+        # step on (-2, -1) leaves -1
+        a = IntMatrix.from_rows([[6], [10], [15]])
+        dec = _snf_ext(a, ALL_TRANSFORMS)
+        assert dec.diag == (1,)
+        assert dec.u_rows == [[6, -2, -1], [-5, 3, 0], [10, -3, -2]]
+        assert dec.uit == [[6, 10, 15], [1, 2, 2], [-3, -5, -8]]
+        assert dec.u @ dec.u_inv == IntMatrix.identity(3)
+        assert tuple(dec) == reference_pair_snf_ext(a, ALL_TRANSFORMS)
+
 
 class TestNoCoercion:
     def test_float_matrix_entry_rejected(self):
@@ -290,7 +320,7 @@ class TestCokernel:
         # generator names survive quotienting via the overline tag
         assert set(group.gen_names) == {"a‾", "b‾"}
         # the projection kills the image
-        assert proj.compose(h).is_zero()
+        assert is_zero(compose(proj, h))
 
 
 class TestKernel:
@@ -319,8 +349,8 @@ class TestExactness:
             h = random_hom(rng)
             k, inc = kernel(h)
             q, proj = cokernel(h)
-            assert h.compose(inc).is_zero()
-            assert proj.compose(h).is_zero()
+            assert is_zero(compose(h, inc))
+            assert is_zero(compose(proj, h))
 
     def test_rank_nullity_over_q(self):
         rng = random.Random(404)

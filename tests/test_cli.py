@@ -460,6 +460,37 @@ class TestSnf:
             assert_one_line_error(err)
 
 
+def nested(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+class TestDeeplyNestedJson:
+    """The JSON decoder recurses once per level; past the interpreter's limit
+    that is one error line and exit 2, not a traceback. Run as processes, so
+    that the stack holds only the command's own frames."""
+
+    TOO_DEEP = "error: JSON input is nested too deeply\n"
+
+    def test_snf_literal(self):
+        done = run_process("snf", nested(1100))
+        # interpreters whose decoder allows this depth reject the entry instead
+        assert done.returncode == 2 and done.stdout == ""
+        assert_one_line_error(done.stderr)
+
+    @pytest.mark.parametrize("command", ["snf", "pv"])
+    def test_file(self, tmp_path, command):
+        path = tmp_path / "deep.json"
+        path.write_text(nested(100_000), encoding="utf-8")
+        done = run_process(command, str(path))
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", self.TOO_DEEP)
+
+    def test_below_the_limit(self):
+        done = run_process("snf", nested(900))
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error: a matrix entry must be an integer, found [[[")
+        assert_one_line_error(done.stderr)
+
+
 class TestSnfHugeEntries:
     """Computed transforms may be longer than the 4,300 digits Python
     converts by default; input is still read under that limit."""
