@@ -14,11 +14,9 @@ _EXPORTS = {
         "GroupHom",
         "IntMatrix",
         "SnfDecomposition",
-        "cokernel",
         "element_order",
         "generates",
         "is_isomorphic",
-        "kernel",
         "smith_normal_form",
         "solve",
     ),
@@ -32,7 +30,6 @@ _EXPORTS = {
         "coprime_part",
         "ladder_cokernel",
         "ladder_kernel",
-        "localized_eq",
         "normalize",
     ),
     "errors": (
@@ -52,13 +49,11 @@ _EXPORTS = {
         "ComplexHomology",
         "Presentation",
         "Word",
-        "abelianization",
         "bs_presentation",
         "classifying_space_k",
         "exponent_vector",
         "parse",
         "presentation_homology",
-        "render",
     ),
     "pv": ("KInput", "PvSolution", "SeqRecord", "boundary_rule", "bs_input", "pv_solve"),
     "solenoid": (

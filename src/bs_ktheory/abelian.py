@@ -32,6 +32,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+import reprlib
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import lru_cache
@@ -345,7 +346,7 @@ class FgAbGroup(namedtuple("FgAbGroup", "free_rank torsion gen_names")):
                 raise ValueError("torsion coefficients must be >= 2")
         for a, b in zip(tors, tors[1:]):
             if b % a != 0:
-                raise ValueError(f"torsion {tors} is not a divisibility chain")
+                raise ValueError(f"torsion {reprlib.repr(tors)} is not a divisibility chain")
         if len(names) != free_rank + len(tors):
             raise ValueError("generator name count must match summand count")
         if len(set(names)) != len(names):
@@ -499,17 +500,12 @@ def _with_relations(rows: Sequence[Sequence[int]], cols: int, g: FgAbGroup) -> I
     return IntMatrix(len(rows), cols + t, tuple(entries))
 
 
-class _CokernelData(namedtuple("_CokernelData", "group target proj lifts")):
+class _CokernelData(namedtuple("_CokernelData", "group proj lifts")):
     __slots__ = ()
 
     group: FgAbGroup
-    target: FgAbGroup
     proj: list[list[int]]  # rows of the projection: one per quotient generator
     lifts: list[list[int]]  # lifts[j] is a target vector over quotient generator j
-
-    projection = property(
-        lambda self: GroupHom(self.target, self.group, IntMatrix.from_rows(self.proj, cols=self.target.gen_count))
-    )
 
 
 def _cokernel_ext(h: GroupHom) -> _CokernelData:
@@ -522,17 +518,7 @@ def _cokernel_ext(h: GroupHom) -> _CokernelData:
     proj = [ext.u_rows[i] for i in kept]
     names = _dominant_names(proj, target.gen_names, QUOTIENT_TAG)
     group = FgAbGroup(len(free_idx), tuple(ext.diag[i] for i in tors_idx), names)
-    return _CokernelData(group, target, proj, [ext.uit[i] for i in kept])
-
-
-def cokernel(h: GroupHom) -> tuple[FgAbGroup, GroupHom]:
-    """The cokernel target/im(h) in normal form, with the projection map.
-
-    Generator names derive from target names with a quotient tag, so
-    tracked generator symbols survive quotienting.
-    """
-    data = _cokernel_ext(h)
-    return data.group, data.projection
+    return _CokernelData(group, proj, [ext.uit[i] for i in kept])
 
 
 def integer_kernel_basis(a: IntMatrix) -> list[tuple[int, ...]]:
@@ -572,12 +558,6 @@ def _kernel_ext(h: GroupHom) -> _KernelData:
     torsion = tuple(ext.diag[i] for i in tors_idx)
     group = FgAbGroup(len(free_idx), torsion, _dominant_names(gens, h.source.gen_names, ""))
     return _KernelData(group, h.source, gens)
-
-
-def kernel(h: GroupHom) -> tuple[FgAbGroup, GroupHom]:
-    """The kernel of ``h`` in normal form, with its inclusion into the source."""
-    data = _kernel_ext(h)
-    return data.group, data.inclusion
 
 
 def element_order(g: FgAbGroup, elem: Sequence[int]) -> int | float:
@@ -630,33 +610,68 @@ def generates(g: FgAbGroup, vec: Sequence[int]) -> bool:
 # ---------------------------------------------------------------------------
 # JSON forms
 
+# Every reader checks its input by three rules: a value of one exact type, a
+# field that is required or has a default, and a list of values of one type.
+# A failed rule names the path to the value, such as ``k0.group.torsion[2]``,
+# and quotes the value shortened by reprlib, so its error stays one short line.
 
-def json_int(value, what: str) -> int:
-    """An integer read from JSON; bool, float and str are rejected, not coerced."""
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, found {value!r}")
+_JSON_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+_REQUIRED = object()
+
+
+def json_fail(path: str, want: str, value):
+    raise ValueError(f"{path} must be {want}, found {reprlib.repr(value)}")
+
+
+def _fits(value, kind) -> bool:
+    if type(kind) is list:
+        return type(value) is list and {*map(type, value)} <= {*kind}
+    return type(value) is kind
+
+
+def json_value(value, kind, path: str):
+    """``value``, checked against ``kind``: a type, which must be the value's
+    exact type (JSON ``true`` is no integer), or ``[t]``, a list of values of
+    type t. The path of a list entry is built only when the entry fails."""
+    if not _fits(value, kind):
+        if type(kind) is not list:
+            json_fail(path, _JSON_KINDS[kind], value)
+        if type(value) is not list:
+            json_fail(path, f"a list of {_JSON_KINDS[kind[0]].split()[1]}s", value)
+        i = next(i for i, x in enumerate(value) if type(x) is not kind[0])
+        json_value(value[i], kind[0], f"{path}[{i}]")
     return value
 
 
-def matrix_from_json(data) -> IntMatrix:
-    if not isinstance(data, list) or any(not isinstance(r, list) for r in data):
-        raise ValueError("matrix JSON must be a list of rows")
-    return IntMatrix.from_rows([[json_int(x, "a matrix entry") for x in row] for row in data])
+def json_field(data: dict, key: str, kind, path: str, default=_REQUIRED):
+    """Field ``key`` of the object ``data`` at ``path`` ("" for the root),
+    checked against ``kind`` as by ``json_value``. A field with a default may
+    be absent, one whose default is None may also be null, and one without a
+    default is required."""
+    value = data.get(key, default)
+    if _fits(value, kind) or value is default is not _REQUIRED:
+        return value
+    at = f"{path}.{key}" if path else key
+    if value is _REQUIRED:
+        raise ValueError(f"{at} is missing")
+    return json_value(value, kind, at)
+
+
+def matrix_from_json(data, path: str) -> IntMatrix:
+    rows = json_value(data, [list], path)
+    try:
+        return IntMatrix.from_rows(rows)
+    except ValueError:  # name the first entry that is no integer, else the shape
+        for i, row in enumerate(rows):
+            json_value(row, [int], f"{path}[{i}]")
+        json_fail(path, "a list of rows of one length", rows)
 
 
 def group_to_json(g: FgAbGroup) -> dict:
     return {"free_rank": g.free_rank, "torsion": list(g.torsion), "gens": list(g.gen_names)}
 
 
-def group_from_json(data: dict) -> FgAbGroup:
-    if not isinstance(data, dict) or "free_rank" not in data:
-        raise ValueError("group JSON must carry free_rank, torsion, gens")
-    names = data.get("gens")
-    torsion = data.get("torsion", [])
-    if not isinstance(torsion, list):
-        raise ValueError("group torsion must be a list of integers")
-    if names is not None and (not isinstance(names, list) or not all(isinstance(x, str) for x in names)):
-        raise ValueError("group gens must be a list of names")
-    tors = tuple(json_int(d, "a torsion coefficient") for d in torsion)
-    return FgAbGroup(json_int(data["free_rank"], "free_rank"), tors, tuple(names) if names is not None else None)
-
+def group_from_json(data, path: str) -> FgAbGroup:
+    names = json_field(json_value(data, dict, path), "gens", [str], path, None)
+    torsion = json_field(data, "torsion", [int], path, [])
+    return FgAbGroup(json_field(data, "free_rank", int, path), torsion, names)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import reprlib
 import sys
 
 from .errors import DomainError, UnresolvedExtension
@@ -83,12 +84,12 @@ def _parse_json(text: str):
 
 
 def _load_json(literal_or_path: str):
-    text = literal_or_path
-    if not text.lstrip().startswith("["):
-        if not os.path.exists(literal_or_path):
-            raise ValueError(f"no such file: {literal_or_path}")
-        text = _read_text(literal_or_path)
-    return _parse_json(text)
+    """An existing file's JSON, else the argument itself if it starts with ``[``."""
+    if os.path.exists(literal_or_path):
+        return _parse_json(_read_text(literal_or_path))
+    if not literal_or_path.lstrip().startswith("["):
+        raise ValueError(f"no such file: {reprlib.repr(literal_or_path)}")
+    return _parse_json(literal_or_path)
 
 
 def _parse_presentation(args):
@@ -217,7 +218,7 @@ def _run_pair(args):
 def _run_snf(data):
     from .abelian import matrix_from_json, smith_normal_form
 
-    dec = smith_normal_form(matrix_from_json(data))
+    dec = smith_normal_form(matrix_from_json(data, "matrix"))
     payload = {"diag": list(dec.diag), **{k: getattr(dec, k).to_rows() for k in "suv"}}
     return EXIT_OK, payload, lambda: f"diag: {payload['diag']}\n" + "".join(
         f"{k} =\n" + "".join(f"  {row}\n" for row in payload[k]) for k in "suv"

@@ -30,7 +30,9 @@ from .abelian import (
     _snf_ext,
     group_from_json,
     group_to_json,
-    json_int,
+    json_fail,
+    json_field,
+    json_value,
     solve,
 )
 from .errors import InvariantViolation, StabilizationOverflow, UnsupportedColimitShape
@@ -70,11 +72,6 @@ class LocalizedInt(namedtuple("LocalizedInt", "n symbol")):
 
     def __str__(self) -> str:
         return self.describe()
-
-
-def localized_eq(a: LocalizedInt, b: LocalizedInt) -> bool:
-    """Z[1/n] depends only on the primes of n: equal when each n divides a power of the other."""
-    return coprime_part(a.n, b.n) == 1 == coprime_part(b.n, a.n)
 
 
 def coprime_part(c: int, n: int) -> int:
@@ -279,16 +276,12 @@ def ab_to_json(obj: AbObject) -> dict:
     }
 
 
-def ab_from_json(data: dict) -> AbObject:
-    if not isinstance(data, dict):
-        raise ValueError("a normalized object must be a JSON object")
-    kind = data.get("kind")
+def ab_from_json(data, path: str) -> AbObject:
+    kind = json_field(json_value(data, dict, path), "kind", str, path)
     if kind == "fg":
-        return group_from_json(data["group"])
-    if kind == "loc":
-        torsion = group_from_json(data["torsion"]) if "torsion" in data else FgAbGroup.trivial()
-        symbol = data.get("symbol", "v")
-        if not isinstance(symbol, str):
-            raise ValueError(f"the symbol of a localization must be a string, found {symbol!r}")
-        return LocObject(LocalizedInt(json_int(data["inverted"], "inverted"), symbol), torsion)
-    raise ValueError(f"unknown normalized-object kind {kind!r}")
+        return group_from_json(json_field(data, "group", dict, path), f"{path}.group")
+    if kind != "loc":
+        json_fail(f"{path}.kind", "'fg' or 'loc'", kind)
+    torsion = group_from_json(json_field(data, "torsion", dict, path, {"free_rank": 0}), f"{path}.torsion")
+    loc = LocalizedInt(json_field(data, "inverted", int, path), json_field(data, "symbol", str, path, "v"))
+    return LocObject(loc, torsion)

@@ -9,10 +9,11 @@ unitary before a solve has placed it.
 from __future__ import annotations
 
 import math
+import reprlib
 from collections import namedtuple
 from collections.abc import Iterator, Mapping
 
-from .abelian import json_int
+from .abelian import json_fail, json_field, json_value
 
 LOCATIONS = ("k0", "k1", "crossed0", "crossed1", "unitary")
 
@@ -67,14 +68,6 @@ def _order_text(order: int | float | None) -> str:
     return "inf" if order == math.inf else str(order)
 
 
-def order_from_json(data) -> int | float | None:
-    if data is None:
-        return None
-    if data == "inf":
-        return math.inf
-    return json_int(data, "a ledger order")
-
-
 def ledger_to_json(ledger: KClassLedger) -> dict:
     out = {}
     for symbol, entry in sorted(ledger.items()):
@@ -87,20 +80,14 @@ def ledger_to_json(ledger: KClassLedger) -> dict:
     return out
 
 
-def ledger_from_json(data: dict) -> KClassLedger:
-    if not isinstance(data, dict):
-        raise ValueError("the ledger must be a JSON object")
+def ledger_from_json(data, path: str) -> KClassLedger:
     entries = {}
-    for symbol, raw in data.items():
-        if not isinstance(raw, dict):
-            raise ValueError(f"ledger entry {symbol} must be a JSON object")
-        vector = raw.get("coeffs")
-        if vector is not None:
-            if not isinstance(vector, list):
-                raise ValueError(f"coeffs of ledger entry {symbol} must be a list of integers")
-            vector = tuple(json_int(x, "a ledger coefficient") for x in vector)
-        note = raw.get("note", "")
-        if not isinstance(note, str):
-            raise ValueError(f"note of ledger entry {symbol} must be a string")
-        entries[symbol] = KClass(raw["group"], vector, order_from_json(raw.get("order")), note)
+    for symbol, raw in json_value(data, dict, path).items():
+        at = f"{path}[{reprlib.repr(symbol)}]"
+        location = json_field(json_value(raw, dict, at), "group", str, at)
+        if location not in LOCATIONS:
+            json_fail(f"{at}.group", f"one of {', '.join(LOCATIONS)}", location)
+        order = math.inf if raw.get("order") == "inf" else json_field(raw, "order", int, at, None)
+        coeffs = json_field(raw, "coeffs", [int], at, None)
+        entries[symbol] = KClass(location, coeffs, order, json_field(raw, "note", str, at, ""))
     return KClassLedger(entries)

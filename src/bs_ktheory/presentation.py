@@ -234,17 +234,6 @@ def parse(text: str) -> Presentation:
     return _Parser(text).parse()
 
 
-def render(p: Presentation) -> str:
-    """Parseable text form; inverse of ``parse`` on constructible input."""
-    if p.relator.is_empty:
-        raise ValueError("the empty relator has no textual form")
-    gens = ", ".join(p.generators)
-    body = " ".join(
-        p.generators[g] if e == 1 else f"{p.generators[g]}^{e}" for g, e in p.relator.letters
-    )
-    return f"< {gens} | {body} >"
-
-
 # ---------------------------------------------------------------------------
 # invariants of the presentation complex
 
@@ -262,12 +251,6 @@ def _abelianization_ext(p: Presentation) -> tuple[FgAbGroup, GroupHom]:
     data = _cokernel_ext(h)
     group = data.group.renamed(_dominant_names(data.proj, p.generators, ""))
     return group, GroupHom(free, group, IntMatrix.from_rows(data.proj, cols=m))
-
-
-def abelianization(p: Presentation) -> FgAbGroup:
-    """The quotient by the commutator subgroup: the cokernel of the
-    exponent map, with generator names inherited from the presentation."""
-    return _abelianization_ext(p)[0]
 
 
 def _is_cyclic_proper_power(letters: tuple[Letter, ...]) -> bool:

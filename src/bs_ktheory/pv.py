@@ -23,6 +23,7 @@ disabled the solver still resolves the groups but leaves [u] undetermined.
 from __future__ import annotations
 
 import math
+import reprlib
 from collections import namedtuple
 
 from .abelian import (
@@ -38,7 +39,9 @@ from .abelian import (
     group_to_json,
     identity_minus,
     is_isomorphic,
-    json_int,
+    json_fail,
+    json_field,
+    json_value,
     matrix_from_json,
     solve,
 )
@@ -74,14 +77,16 @@ class KInput(namedtuple("KInput", "k0 k1 alpha0 alpha1 ledger")):
         _check_side(k1, alpha1, "alpha1")
         for sym, entry in ledger.items():
             if entry.location not in ("k0", "k1", "unitary"):
-                raise ValueError(f"ledger entry {sym!r} is in {entry.location!r}, which only a solution holds")
+                raise ValueError(
+                    f"ledger entry {reprlib.repr(sym)} is in {entry.location!r}, which only a solution holds"
+                )
             if entry.location in ("k0", "k1"):
                 side = k0 if entry.location == "k0" else k1
                 if entry.vector is None:
-                    raise ValueError(f"ledger entry {sym!r} needs a coefficient vector")
+                    raise ValueError(f"ledger entry {reprlib.repr(sym)} needs a coefficient vector")
                 expected = side.gen_count if isinstance(side, FgAbGroup) else 1
                 if len(entry.vector) != expected:
-                    raise ValueError(f"ledger entry {sym!r} has the wrong vector length")
+                    raise ValueError(f"ledger entry {reprlib.repr(sym)} has the wrong vector length")
                 if entry.order is not None:
                     if isinstance(side, FgAbGroup):
                         true_order = element_order(side, entry.vector)
@@ -90,8 +95,8 @@ class KInput(namedtuple("KInput", "k0 k1 alpha0 alpha1 ledger")):
                         true_order = math.inf if entry.vector[0] else 1
                     if entry.order != true_order:
                         raise ValueError(
-                            f"ledger entry {sym!r} annotates order {entry.order}, "
-                            f"but the class has order {true_order}"
+                            f"ledger entry {reprlib.repr(sym)} annotates order {reprlib.repr(entry.order)}, "
+                            f"but the class has order {reprlib.repr(true_order)}"
                         )
         unit = ledger.get("[1]")
         if unit is None or unit.location != "k0":
@@ -390,24 +395,19 @@ def _selfmap_to_json(k: AbObject, alpha: SelfMap) -> dict:
     return {"rung": alpha.rung.matrix.at(0, 0)}
 
 
-def _selfmap_from_json(k: AbObject, data: dict, label: str) -> SelfMap:
-    if not isinstance(data, dict):
-        raise ValueError(f"{label} must be a JSON object")
+def _selfmap_from_json(k: AbObject, data, path: str) -> SelfMap:
+    json_value(data, dict, path)
     if isinstance(k, FgAbGroup):
-        if "matrix" not in data:
-            raise ValueError(f"{label} needs a matrix for a finitely generated side")
-        return GroupHom(k, k, matrix_from_json(data["matrix"]))
-    if "rung" not in data:
-        raise ValueError(f"{label} needs a rung for a localized side")
-    rung = data["rung"]
-    if isinstance(rung, list):
-        m = matrix_from_json(rung)
+        return GroupHom(k, k, matrix_from_json(json_field(data, "matrix", list, path), f"{path}.matrix"))
+    rung = data.get("rung")
+    if type(rung) is list:  # a 1x1 matrix
+        m = matrix_from_json(rung, f"{path}.rung")
         if (m.rows, m.cols) != (1, 1):
-            raise ValueError(f"{label} rung must be an integer or a 1x1 matrix")
+            json_fail(f"{path}.rung", "an integer or a 1x1 matrix", rung)
         rung = m.entries[0]
-    r = json_int(rung, f"{label} rung")
+    rung = rung if type(rung) is int else json_field(data, "rung", int, path)
     colim = k.loc.as_colim()
-    return LadderMap(colim, colim, GroupHom(colim.stage, colim.stage, IntMatrix(1, 1, (r,))))
+    return LadderMap(colim, colim, GroupHom(colim.stage, colim.stage, IntMatrix(1, 1, (rung,))))
 
 
 def kinput_to_json(kinput: KInput) -> dict:
@@ -420,17 +420,12 @@ def kinput_to_json(kinput: KInput) -> dict:
     }
 
 
-def kinput_from_json(data: dict) -> KInput:
-    if not isinstance(data, dict):
-        raise ValueError("solver input must be a JSON object")
-    for key in ("k0", "k1", "alpha0", "alpha1", "ledger"):
-        if key not in data:
-            raise ValueError(f"solver input is missing {key!r}")
-    k0 = ab_from_json(data["k0"])
-    k1 = ab_from_json(data["k1"])
-    alpha0 = _selfmap_from_json(k0, data["alpha0"], "alpha0")
-    alpha1 = _selfmap_from_json(k1, data["alpha1"], "alpha1")
-    return KInput(k0, k1, alpha0, alpha1, ledger_from_json(data["ledger"]))
+def kinput_from_json(data) -> KInput:
+    json_value(data, dict, "the solver input")
+    k0, k1, alpha0, alpha1, ledger = (json_field(data, key, dict, "") for key in KInput._fields)
+    k0, k1 = ab_from_json(k0, "k0"), ab_from_json(k1, "k1")
+    alpha0, alpha1 = _selfmap_from_json(k0, alpha0, "alpha0"), _selfmap_from_json(k1, alpha1, "alpha1")
+    return KInput(k0, k1, alpha0, alpha1, ledger_from_json(ledger, "ledger"))
 
 
 def _seq_to_json(record: SeqRecord) -> dict:

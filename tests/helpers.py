@@ -52,6 +52,7 @@ from bs_ktheory.colimit import (
     AbObject,
     ColimModule,
     LadderMap,
+    LocalizedInt,
     LocObject,
     _stabilization_bound,
     ab_to_json,
@@ -62,7 +63,7 @@ from bs_ktheory.colimit import (
 from bs_ktheory.errors import DepthExceeded, InvariantViolation, StabilizationOverflow, UnresolvedExtension
 from bs_ktheory.ledger import KClass, KClassLedger
 from bs_ktheory.pv import KInput, PvSolution, SelfMap, SeqRecord, _audit, _digits, boundary_rule
-from bs_ktheory.presentation import Word
+from bs_ktheory.presentation import Presentation, Word, _abelianization_ext
 from bs_ktheory.solenoid import NadicRational
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -480,6 +481,46 @@ def is_zero(h: GroupHom) -> bool:
     return not any(any(h.apply(basis_vec)) for basis_vec in IntMatrix.identity(h.source.gen_count).to_rows())
 
 
+def projection(data, target: FgAbGroup) -> GroupHom:
+    """The projection of ``target`` onto the quotient of the library's cokernel data."""
+    return GroupHom(target, data.group, IntMatrix.from_rows(data.proj, cols=target.gen_count))
+
+
+def cokernel(h: GroupHom) -> tuple[FgAbGroup, GroupHom]:
+    """The cokernel target/im(h) in normal form, with the projection map."""
+    data = _cokernel_ext(h)
+    return data.group, projection(data, h.target)
+
+
+def kernel(h: GroupHom) -> tuple[FgAbGroup, GroupHom]:
+    """The kernel of ``h`` in normal form, with its inclusion into the source."""
+    data = _kernel_ext(h)
+    return data.group, data.inclusion
+
+
+# ---------------------------------------------------------------------------
+# presentation and localization helpers only the tests use
+
+
+def abelianization(p: Presentation) -> FgAbGroup:
+    """The cokernel of the exponent map, with names from the presentation."""
+    return _abelianization_ext(p)[0]
+
+
+def render(p: Presentation) -> str:
+    """Parseable text form; inverse of ``parse`` on constructible input."""
+    if p.relator.is_empty:
+        raise ValueError("the empty relator has no textual form")
+    gens = ", ".join(p.generators)
+    body = " ".join(p.generators[g] if e == 1 else f"{p.generators[g]}^{e}" for g, e in p.relator.letters)
+    return f"< {gens} | {body} >"
+
+
+def localized_eq(a: LocalizedInt, b: LocalizedInt) -> bool:
+    """Z[1/n] depends only on the primes of n: equal when each n divides a power of the other."""
+    return coprime_part(a.n, b.n) == 1 == coprime_part(b.n, a.n)
+
+
 # ---------------------------------------------------------------------------
 # the record-based kernel, cokernel, solve and stable kernel: the library's
 # row-list versions must give the same groups, names, matrices and solutions.
@@ -651,7 +692,7 @@ def _fg_side(group: FgAbGroup, alpha: GroupHom) -> _Side:
     ker = _kernel_ext(d)
     return _Side(
         coinv=coker.group,
-        push=coker.projection.apply,
+        push=projection(coker, group).apply,
         inv=ker.group,
         in_invariants=lambda vec: not any(d.apply(vec)),
         express=lambda vec: solve(ker.inclusion, vec),

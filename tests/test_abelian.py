@@ -10,22 +10,22 @@ from bs_ktheory.abelian import (
     GroupHom,
     IntMatrix,
     _snf_ext,
-    cokernel,
     element_order,
     generates,
     group_from_json,
     group_to_json,
     is_isomorphic,
-    kernel,
     smith_normal_form,
     solve,
 )
 from helpers import (
+    cokernel,
     compose,
     det,
     finite_elements,
     group_order_multiset,
     is_zero,
+    kernel,
     minors_invariant_factors,
     random_group,
     random_hom,
@@ -299,7 +299,7 @@ class TestGroups:
 
     def test_json_roundtrip(self):
         g = FgAbGroup(1, (2, 6), ("a", "b", "c"))
-        assert group_from_json(group_to_json(g)) == g
+        assert group_from_json(group_to_json(g), "group") == g
 
 
 class TestCokernel:

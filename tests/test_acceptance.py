@@ -15,11 +15,9 @@ from bs_ktheory.abelian import (
     FgAbGroup,
     GroupHom,
     IntMatrix,
-    cokernel,
     element_order,
     generates,
     is_isomorphic,
-    kernel,
     smith_normal_form,
 )
 from bs_ktheory.bc import bc_compare, trace_image
@@ -34,10 +32,12 @@ from bs_ktheory.colimit import (
 )
 from bs_ktheory.pv import bs_input, pv_solve
 from helpers import (
+    cokernel,
     compose,
     det,
     group_order_multiset,
     is_zero,
+    kernel,
     ladder_cokernel_oracle,
     ladder_kernel_oracle,
     minors_invariant_factors,

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -151,26 +152,30 @@ class TestPv:
             assert_one_line_error(err)
 
     @pytest.mark.parametrize(
-        "corrupt",
+        "corrupt, named",
         [
-            lambda d: d["alpha1"].update(rung=[]),
-            lambda d: d["alpha1"].update(rung=[5]),
-            lambda d: d["k0"]["group"].update(gens=5),
-            lambda d: d.update(k0=[]),
-            lambda d: d.update(alpha0=5),
-            lambda d: d.update(ledger=[]),
-            lambda d: d["ledger"].update({"[1]": 3}),
-            lambda d: d["k1"].update(symbol=3),
-            lambda d: d["k1"].update(symbol=None),
-            lambda d: d["k1"].update(symbol=["v"]),
-            lambda d: d["ledger"].update({"[x]": {**CROSSED_ENTRY, "note": ["a"]}}),
-            lambda d: d["ledger"].update({"[x]": CROSSED_ENTRY}),
+            (lambda d: d["alpha1"].update(rung=[]), "alpha1.rung"),
+            (lambda d: d["alpha1"].update(rung=[5]), "alpha1.rung[0]"),
+            (lambda d: d["k0"]["group"].update(gens=5), "k0.group.gens"),
+            (lambda d: d.update(k0=[]), "k0"),
+            (lambda d: d.update(alpha0=5), "alpha0"),
+            (lambda d: d.update(ledger=[]), "ledger"),
+            (lambda d: d["ledger"].update({"[1]": 3}), "ledger['[1]']"),
+            (lambda d: d["k1"].update(symbol=3), "k1.symbol"),
+            (lambda d: d["k1"].update(symbol=None), "k1.symbol"),
+            (lambda d: d["k1"].update(symbol=["v"]), "k1.symbol"),
+            (lambda d: d["ledger"].update({"[x]": {**CROSSED_ENTRY, "note": ["a"]}}), "ledger['[x]'].note"),
+            (lambda d: d["ledger"].update({"[x]": CROSSED_ENTRY}), "'[x]'"),
+            (lambda d: d["ledger"]["[1]"].pop("group"), "ledger['[1]'].group is missing"),
+            (lambda d: d["k1"].pop("inverted"), "k1.inverted is missing"),
+            (lambda d: d["k0"].pop("group"), "k0.group is missing"),
         ],
         ids=["rung-empty-list", "rung-flat-list", "gens-not-a-list", "k0-not-an-object",
              "alpha0-not-an-object", "ledger-not-an-object", "ledger-entry-not-an-object",
-             "symbol-int", "symbol-null", "symbol-list", "note-not-a-string", "output-only-location"],
+             "symbol-int", "symbol-null", "symbol-list", "note-not-a-string", "output-only-location",
+             "ledger-entry-group-missing", "inverted-missing", "k0-group-missing"],
     )
-    def test_malformed_shape_rejected(self, capsys, tmp_path, corrupt):
+    def test_malformed_shape_rejected(self, capsys, tmp_path, corrupt, named):
         payload = kinput_to_json(bs_input(3))
         corrupt(payload)
         path = tmp_path / "bad.json"
@@ -178,6 +183,7 @@ class TestPv:
         code, out, err = run(capsys, "pv", str(path))
         assert code == 2 and out == ""
         assert_one_line_error(err)
+        assert named in err, err
 
     @pytest.mark.parametrize("field, value", [("coeffs", "1"), ("order", 1.5), ("order", "7")])
     def test_ledger_values_not_coerced(self, capsys, tmp_path, field, value):
@@ -289,6 +295,8 @@ class TestPvFuzz:
                 failures.append((data, repr(exc)))
                 continue
             if code not in (0, 2, 3, 4) or (code == 2 and not (err.startswith("error: ") and err.count("\n") == 1)):
+                failures.append((data, code, err))
+            elif code == 2 and re.fullmatch(r"error: '[^']*'\n", err):  # a bare KeyError names no path
                 failures.append((data, code, err))
         assert not failures, failures[:3]
 
@@ -452,6 +460,15 @@ class TestSnf:
         code, _, _ = run(capsys, "snf", "[[1,2],[3]]")
         assert code == 2
 
+    def test_file_named_like_a_literal(self, capsys, tmp_path, monkeypatch):
+        # an existing path is read as a file, even where it starts with "["
+        monkeypatch.chdir(tmp_path)
+        Path("[m].json").write_text("[[2,4],[6,8]]", encoding="utf-8")
+        assert run(capsys, "snf", "[m].json") == run(capsys, "snf", "[[2,4],[6,8]]")
+        code, out, err = run(capsys, "snf", "[n].json")
+        assert (code, out) == (2, "")
+        assert_one_line_error(err)
+
     def test_non_integer_entries_rejected(self, capsys):
         # JSON floats and booleans must not be coerced to the integer 1
         for literal in ("[[1.5]]", "[[true]]", '[["1"]]'):
@@ -487,8 +504,46 @@ class TestDeeplyNestedJson:
     def test_below_the_limit(self):
         done = run_process("snf", nested(900))
         assert done.returncode == 2 and done.stdout == ""
-        assert done.stderr.startswith("error: a matrix entry must be an integer, found [[[")
-        assert_one_line_error(done.stderr)
+        # the entry's path, then the entry shortened to six levels of nesting
+        assert done.stderr == "error: matrix[0][0] must be an integer, found [[[[[[[...]]]]]]]\n"
+
+
+class TestOversizedValues:
+    """An error quotes a bad value shortened, and a path built from a long
+    key shortened too, so the one error line stays under 1 KB."""
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda d: d["k0"]["group"].update(torsion=list(range(2, 200_002))),
+            lambda d: d["k1"].update(kind="x" * 200_000),
+            lambda d: d["ledger"]["[1]"].update(group="k" * 200_000),
+            lambda d: d["ledger"].update({"[" + "x" * 200_000 + "]": CROSSED_ENTRY}),
+        ],
+        ids=["torsion", "kind", "group", "ledger-key"],
+    )
+    def test_pv(self, capsys, tmp_path, corrupt):
+        payload = kinput_to_json(bs_input(3))
+        corrupt(payload)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run(capsys, "pv", str(path))
+        assert code == 2 and out == ""
+        assert_one_line_error(err)
+        assert len(err.encode()) < 1024, len(err)
+
+    def test_snf_entry(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps([[list(range(200_000))]]), encoding="utf-8")
+        code, out, err = run(capsys, "snf", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: matrix[0][0] must be an integer, found [0, 1, 2, 3, 4, 5, ...]\n"
+
+    def test_snf_argument(self, capsys):
+        # neither an existing path nor a JSON literal
+        code, out, err = run(capsys, "snf", "m" * 200_000)
+        assert (code, out) == (2, "")
+        assert err == "error: no such file: 'mmmmmmmmmmmm...mmmmmmmmmmmmm'\n"
 
 
 class TestSnfHugeEntries:

@@ -10,15 +10,13 @@ from bs_ktheory.errors import DomainError, ParseError, ProperPowerRelator, Undec
 from bs_ktheory.presentation import (
     Presentation,
     Word,
-    abelianization,
     bs_presentation,
     classifying_space_k,
     exponent_vector,
     parse,
     presentation_homology,
-    render,
 )
-from helpers import cycled, flatten, relator_is_proper_power
+from helpers import abelianization, cycled, flatten, relator_is_proper_power, render
 
 
 class TestWord:
