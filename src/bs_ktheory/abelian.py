@@ -8,12 +8,13 @@ uses Python ints, so the arithmetic is exact at any magnitude.
 
 There is one Smith-form core, ``_snf_ext``: it reduces by nearest
 remainders, clearing the pivot's column and then its row by passes local to
-each, with one 2x2 row step where a column pass leaves remainders. It
-returns one result type, ``SnfDecomposition``: the diagonal and the
-transforms its caller asks for, among u, v and u's inverse, tracked during
-elimination rather than inverted after and kept as the row lists the
-elimination produces. ``_split_diag`` reads the free and torsion
-coordinates off the diagonal for every caller.
+each, with one 2x2 step on two rows or two columns where a pass leaves
+remainders, and with the rows of u riding in the working rows. It returns
+one result type, ``SnfDecomposition``: the diagonal and the transforms its
+caller asks for, among u, v and u's inverse, tracked during elimination
+rather than inverted after and kept as the row lists the elimination
+produces. ``_split_diag`` reads the free and torsion coordinates off the
+diagonal for every caller.
 
 Records (``IntMatrix``, ``FgAbGroup``, ``GroupHom``) are validated on
 construction, so they are built only at the API boundary: for the input of
@@ -171,33 +172,35 @@ def _snf_ext(a: IntMatrix, track: Sequence[str]) -> SnfDecomposition:
     """Smith normal form with the transforms named in ``track`` alongside.
 
     ``track`` names the transforms to keep, among ``("u_rows", "vt",
-    "uit")``; each other one is a list of empty rows, which every update
-    below leaves empty at next to no cost.
+    "uit")``; an untracked one is a list of empty rows. A tracked u rides
+    in the working rows, row i of u after column c of row i, so one list
+    update moves both; every read of the matrix stops at column c.
 
     Position t starts from the nonzero entry of least absolute value in the
     trailing submatrix, first in row-major order, so the output is
     deterministic. An entry e is reduced by the nearest multiple q * p of
     the pivot p: |e - q * p| <= |p| / 2, and at equality q = e // p. Column
-    t is cleared by passes within it. A pass that leaves remainders runs
-    Euclid, by the same rule, on the pivot and the least of them (the first
-    in row order) alone; its 2x2 transform, applied once to the two rows,
-    leaves their gcd as the pivot and 0 below it, and the next pass starts
-    from there (Bradley, Math. Comp. 25, 1971). Row t is cleared by passes
-    too, the column of its least remainder becoming column t. Unless the
+    t is cleared by passes within it. A pass that leaves remainders pairs
+    the pivot with one: the least gcd with p, then the least |e|, then the
+    first row. Euclid, by the same rule, on the two scalars alone gives a
+    2x2 transform; applied once to the two rows, it leaves their gcd as the
+    pivot and 0 below it (Bradley, Math. Comp. 25, 1971). Row t is cleared
+    by passes too, and the least remainder one leaves (the first in column
+    order) is settled by the same 2x2 step on the two columns. Unless the
     pivot is a unit, the first row with an entry it does not divide is then
     added to row t, and both are cleared again.
 
     Rows t and below are zero left of column t, so a row operation rewrites
-    only the suffix from column t, and a column operation only row t. The
-    tracked transforms are updated whole; ``u_inv`` and ``v`` are kept
-    transposed (``uit``, ``vt``) so that every update replaces whole rows.
+    only the suffix from column t. ``u_inv`` and ``v`` are kept transposed
+    (``uit``, ``vt``) so that every update of them replaces whole rows, and
+    ``uit`` updates are skipped where it is untracked.
     """
     r, c = a.rows, a.cols
-    m = [list(a.entries[i * c : (i + 1) * c]) for i in range(r)]
-    u, uit, vt = (
-        [list(row) for row in (_identity_tuple(n) if name in track else ((),) * n)]
-        for name, n in (("u_rows", r), ("uit", r), ("vt", c))
-    )
+    entries, inv = a.entries, "uit" in track
+    ident = _identity_tuple(r) if "u_rows" in track else ((),) * r
+    m = [[*entries[i * c : (i + 1) * c], *ident[i]] for i in range(r)]
+    uit = [[*row] for row in (_identity_tuple(r) if inv else ((),) * r)]
+    vt = [[*row] for row in (_identity_tuple(c) if "vt" in track else ((),) * c)]
 
     t = 0
     limit = min(r, c)
@@ -205,7 +208,7 @@ def _snf_ext(a: IntMatrix, track: Sequence[str]) -> SnfDecomposition:
         # no entry beats a unit, so the scan stops after the row holding one
         pivot, least = None, 0
         for i in range(t, r):
-            for j, e in enumerate(m[i][t:], t):
+            for j, e in enumerate(m[i][t:c], t):
                 if e and (pivot is None or abs(e) < least):
                     pivot, least = (i, j), abs(e)
             if least == 1:
@@ -213,19 +216,17 @@ def _snf_ext(a: IntMatrix, track: Sequence[str]) -> SnfDecomposition:
         if pivot is None:
             break
         i, j = pivot
+        if i != t:
+            m[t], m[i] = m[i], m[t]
+            uit[t], uit[i] = uit[i], uit[t]
+        if j != t:
+            for row in m[t:]:
+                row[t], row[j] = row[j], row[t]
+            vt[t], vt[j] = vt[j], vt[t]
+        top = m[t]
         while True:
-            if i != t:
-                m[t], m[i] = m[i], m[t]
-                u[t], u[i] = u[i], u[t]
-                uit[t], uit[i] = uit[i], uit[t]
-            if j != t:
-                for row in m[t:]:
-                    row[t], row[j] = row[j], row[t]
-                vt[t], vt[j] = vt[j], vt[t]
-            top = m[t]
-            p, tail = top[t], top[t:]
-            i = j = t  # to become the row, then the column, of the least remainder
-            low = 0
+            p, tail = top[t], top[t + 1 :]
+            rems = []
             for k in range(t + 1, r):
                 row = m[k]
                 if row[t]:
@@ -233,61 +234,69 @@ def _snf_ext(a: IntMatrix, track: Sequence[str]) -> SnfDecomposition:
                     if 2 * abs(e) > abs(p):
                         q, e = q + 1, e - p
                     if q:
-                        row[t:] = [x - q * y for x, y in zip(row[t:], tail)]
-                        u[k] = [x - q * y for x, y in zip(u[k], u[t])]
-                        uit[t] = [x + q * y for x, y in zip(uit[t], uit[k])]
-                    if e and (i == t or abs(e) < low):
-                        i, low = k, abs(e)
-            if i != t:
-                # Euclid on p and m[i][t] alone, applied to rows t and i as one 2x2 E
-                g, h, e00, e01, e10, e11 = p, m[i][t], 1, 0, 0, 1
-                while h:
-                    q, e = divmod(g, h)
-                    if 2 * abs(e) > abs(h):
-                        q, e = q + 1, e - h
-                    g, h, e00, e01, e10, e11 = h, e, e10, e11, e00 - q * e10, e01 - q * e11
-                d = e00 * e11 - e01 * e10
-                for rows, s, (a0, a1, b0, b1) in (
-                    (m, t, (e00, e01, e10, e11)),
-                    (u, 0, (e00, e01, e10, e11)),
-                    (uit, 0, (d * e11, -d * e10, -d * e01, d * e00)),  # E's inverse, transposed
-                ):
-                    rt, ri = rows[t][s:], rows[i][s:]
-                    rows[t][s:] = [a0 * x + a1 * y for x, y in zip(rt, ri)]
-                    rows[i][s:] = [b0 * x + b1 * y for x, y in zip(rt, ri)]
-                i = t
-                continue
-
-            for k in range(t + 1, c):
-                if top[k]:
-                    q, e = divmod(top[k], p)
-                    if 2 * abs(e) > abs(p):
-                        q, e = q + 1, e - p
-                    if q:
-                        top[k] = e
-                        vt[k] = [x - q * y for x, y in zip(vt[k], vt[t])]
-                    if e and (j == t or abs(e) < low):
-                        j, low = k, abs(e)
-            if j != t:
-                continue
-
-            # the divisibility chain: the pivot must divide the rest
-            if abs(p) != 1:
-                k = next((h for h in range(t + 1, r) if any(x % p for x in m[h][t + 1 :])), t)
-                if k != t:
-                    top[t + 1 :] = m[k][t + 1 :]
-                    u[t] = [x + y for x, y in zip(u[t], u[k])]
-                    uit[k] = [x - y for x, y in zip(uit[k], uit[t])]
+                        row[t + 1 :] = [x - q * y for x, y in zip(row[t + 1 :], tail)]
+                        row[t] = e
+                        if inv:
+                            uit[t] = [x + q * y for x, y in zip(uit[t], uit[k])]
+                    if e:
+                        rems.append((math.gcd(p, e), abs(e), k))
+            i = j = t  # to become the row, or else the column, of the partner
+            if rems:
+                i = min(rems)[2]
+            else:
+                low = 0
+                for k in range(t + 1, c):
+                    if top[k]:
+                        q, e = divmod(top[k], p)
+                        if 2 * abs(e) > abs(p):
+                            q, e = q + 1, e - p
+                        if q:
+                            top[k] = e
+                            vt[k] = [x - q * y for x, y in zip(vt[k], vt[t])]
+                        if e and (j == t or abs(e) < low):
+                            j, low = k, abs(e)
+                if j == t:
+                    # the divisibility chain: the pivot must divide the rest
+                    rest = (h for h in range(t + 1, r) if any(x % p for x in m[h][t + 1 : c]))
+                    k = t if abs(p) == 1 else next(rest, t)
+                    if k == t:
+                        break
+                    top[t + 1 :] = [x + y for x, y in zip(top[t + 1 :], m[k][t + 1 :])]
+                    if inv:
+                        uit[k] = [x - y for x, y in zip(uit[k], uit[t])]
                     continue
-            break
+
+            # Euclid on p and the partner alone, applied as one 2x2 E
+            g, h, e00, e01, e10, e11 = p, m[i][t] if i != t else top[j], 1, 0, 0, 1
+            while h:
+                q, e = divmod(g, h)
+                if 2 * abs(e) > abs(h):
+                    q, e = q + 1, e - h
+                g, h, e00, e01, e10, e11 = h, e, e10, e11, e00 - q * e10, e01 - q * e11
+            if i != t:
+                rt, ri = top[t:], m[i][t:]
+                top[t:] = [e00 * x + e01 * y for x, y in zip(rt, ri)]
+                m[i][t:] = [e10 * x + e11 * y for x, y in zip(rt, ri)]
+                if inv:  # E's inverse, det * [[e11, -e01], [-e10, e00]], transposed
+                    d = e00 * e11 - e01 * e10
+                    rt, ri = uit[t], uit[i]
+                    uit[t] = [d * (e11 * x - e10 * y) for x, y in zip(rt, ri)]
+                    uit[i] = [d * (e00 * y - e01 * x) for x, y in zip(rt, ri)]
+            else:
+                for row in m[t:]:
+                    x, y = row[t], row[j]
+                    row[t], row[j] = e00 * x + e01 * y, e10 * x + e11 * y
+                ct, cj = vt[t], vt[j]
+                vt[t] = [e00 * x + e01 * y for x, y in zip(ct, cj)]
+                vt[j] = [e10 * x + e11 * y for x, y in zip(ct, cj)]
 
         if top[t] < 0:
-            top[t] = -top[t]
-            u[t] = [-x for x in u[t]]
-            uit[t] = [-x for x in uit[t]]
+            top[t:] = [-x for x in top[t:]]
+            if inv:
+                uit[t] = [-x for x in uit[t]]
         t += 1
 
-    return SnfDecomposition(tuple(m[i][i] for i in range(limit)), u, vt, uit)
+    return SnfDecomposition(tuple(m[i][i] for i in range(limit)), [row[c:] for row in m], vt, uit)
 
 
 def smith_normal_form(a: IntMatrix) -> SnfDecomposition:

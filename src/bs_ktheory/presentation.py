@@ -29,6 +29,7 @@ their digits, so ``bs_presentation`` accepts every nonzero integer n.
 from __future__ import annotations
 
 import math
+import reprlib
 from collections import namedtuple
 
 from .abelian import (
@@ -174,7 +175,7 @@ class _Parser:
     def expect(self, value: str):
         kind, text, at = self.take()
         if kind != "sym" or text != value:
-            raise ParseError(f"expected {value!r}, found {text or 'end of input'!r}", at)
+            raise ParseError(f"expected {value!r}, found {reprlib.repr(text or 'end of input')}", at)
 
     def parse(self) -> Presentation:
         self.expect("<")
@@ -198,24 +199,24 @@ class _Parser:
         self.expect(">")
         kind, text, at = self.take()
         if kind != "end":
-            raise ParseError(f"trailing input {text!r}", at)
+            raise ParseError(f"trailing input {reprlib.repr(text)}", at)
         return Presentation(tuple(gens), relator)
 
     def _ident(self, what: str) -> str:
         kind, text, at = self.take()
         if kind != "ident":
-            raise ParseError(f"expected {what}, found {text or 'end of input'!r}", at)
+            raise ParseError(f"expected {what}, found {reprlib.repr(text or 'end of input')}", at)
         return text
 
     def _word(self, index: dict[str, int]) -> Word:
         letters = []
         if self.peek()[0] != "ident":
             kind, text, at = self.peek()
-            raise ParseError(f"expected a word, found {text or 'end of input'!r}", at)
+            raise ParseError(f"expected a word, found {reprlib.repr(text or 'end of input')}", at)
         while self.peek()[0] == "ident":
             kind, name, at = self.take()
             if name not in index:
-                raise UndeclaredGenerator(f"undeclared generator {name!r}", at)
+                raise UndeclaredGenerator(f"undeclared generator {reprlib.repr(name)}", at)
             exp = 1
             if self.peek()[:2] == ("sym", "^"):
                 self.take()

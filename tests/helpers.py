@@ -7,8 +7,9 @@ colimits, and a letter-by-letter proper-power detector for relators. The
 exceptions are references kept to check the library against:
 ``reference_snf_ext``, the earlier index-loop Smith form with floor
 quotients and global re-pivoting, whose diagonal the library must match;
-``reference_pair_snf_ext``, the library's Smith form with its pair step
-taken one quotient at a time, which it must match field for field;
+``reference_pair_snf_ext``, the library's Smith form with its 2x2 row and
+column steps taken one quotient at a time, which it must match field for
+field;
 and, entry for entry, the earlier record-based kernel, cokernel, ``solve``
 and stable kernel, which built an ``IntMatrix`` for every intermediate
 step; the earlier six-term solver, which kept each side and each extension
@@ -379,14 +380,17 @@ def reference_snf_ext(a: IntMatrix) -> _SnfExt:
 
 # ---------------------------------------------------------------------------
 # the pair Euclid one quotient at a time: the library settles a column pass's
-# least remainder against the pivot with one 2x2 transform, and must produce
-# the same diagonal and transforms as this, which takes one row update per
+# remainder of least gcd with the pivot, and a row pass's least remainder,
+# against the pivot with one 2x2 transform each, and must produce the same
+# diagonal and transforms as this, which takes one row or column update per
 # quotient
 
 
 def reference_pair_snf_ext(a: IntMatrix, track: Sequence[str]) -> tuple:
-    """``_snf_ext(a, track)`` as (diag, u_rows, vt, uit), with the pair step
-    written as ``row_t -= q * row_i``, then a swap, until ``m[i][t] == 0``."""
+    """``_snf_ext(a, track)`` as (diag, u_rows, vt, uit), with the row step
+    written as ``row_t -= q * row_i``, then a swap, until ``m[i][t] == 0``,
+    and the column step as ``col_t -= q * col_j``, then a swap, until
+    ``m[t][j] == 0``."""
     r, c = a.rows, a.cols
     m = a.to_rows()
 
@@ -403,6 +407,14 @@ def reference_pair_snf_ext(a: IntMatrix, track: Sequence[str]) -> tuple:
         for rows in (m, u, uit):
             rows[i], rows[k] = rows[k], rows[i]
 
+    def swap_cols(i: int, k: int) -> None:
+        for row in m:
+            row[i], row[k] = row[k], row[i]
+        vt[i], vt[k] = vt[k], vt[i]
+
+    def partner_key(p: int, e: int) -> tuple[int, int]:
+        return math.gcd(p, e), abs(e)
+
     t = 0
     limit = min(r, c)
     while t < limit:
@@ -411,9 +423,7 @@ def reference_pair_snf_ext(a: IntMatrix, track: Sequence[str]) -> tuple:
             break
         _, i, j = min(entries)
         swap_rows(t, i)
-        for row in m:
-            row[t], row[j] = row[j], row[t]
-        vt[t], vt[j] = vt[j], vt[t]
+        swap_cols(t, j)
         while True:
             p = m[t][t]
             i = None
@@ -423,7 +433,7 @@ def reference_pair_snf_ext(a: IntMatrix, track: Sequence[str]) -> tuple:
                     m[k] = [x - q * y for x, y in zip(m[k], m[t])]
                     u[k] = [x - q * y for x, y in zip(u[k], u[t])]
                     uit[t] = [x + q * y for x, y in zip(uit[t], uit[k])]
-                    if e and (i is None or abs(e) < abs(m[i][t])):
+                    if e and (i is None or partner_key(p, e) < partner_key(p, m[i][t])):
                         i = k
             if i is not None:
                 while m[i][t]:
@@ -443,9 +453,12 @@ def reference_pair_snf_ext(a: IntMatrix, track: Sequence[str]) -> tuple:
                     if e and (j is None or abs(e) < abs(m[t][j])):
                         j = k
             if j is not None:
-                for row in m:
-                    row[t], row[j] = row[j], row[t]
-                vt[t], vt[j] = vt[j], vt[t]
+                while m[t][j]:
+                    q, _ = nearest(m[t][t], m[t][j])
+                    for row in m:
+                        row[t] -= q * row[j]
+                    vt[t] = [x - q * y for x, y in zip(vt[t], vt[j])]
+                    swap_cols(t, j)
                 continue
 
             if abs(p) != 1:

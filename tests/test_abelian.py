@@ -134,7 +134,9 @@ class TestSmithNormalForm:
         # the sizes and entries of the snf-dense benchmark's largest inputs
         rng = random.Random(505 + sum(shape))
         r, c = shape
-        assert_reference_diagonal(IntMatrix(r, c, tuple(rng.randint(-20, 20) for _ in range(r * c))))
+        a = IntMatrix(r, c, tuple(rng.randint(-20, 20) for _ in range(r * c)))
+        assert_reference_diagonal(a)
+        snf_invariants_hold(a)
 
     @pytest.mark.parametrize(
         "rows",
@@ -224,6 +226,26 @@ class TestSmithNormalForm:
         assert dec.uit == [[6, 10, 15], [1, 2, 2], [-3, -5, -8]]
         assert dec.u @ dec.u_inv == IntMatrix.identity(3)
         assert tuple(dec) == reference_pair_snf_ext(a, ALL_TRANSFORMS)
+
+    def test_column_step_pinned(self):
+        # the transpose: the first row pass leaves -2 and 3 right of the
+        # pivot 6, and the column step on (6, -2) leaves -2; the next row pass
+        # leaves -1 right of it, and the column step on (-2, -1) leaves -1
+        a = IntMatrix.from_rows([[6, 10, 15]])
+        dec = _snf_ext(a, ALL_TRANSFORMS)
+        assert dec.diag == (1,)
+        assert dec.u_rows == dec.uit == [[-1]]
+        assert dec.vt == [[-6, 2, 1], [-5, 3, 0], [10, -3, -2]]
+        assert dec.u @ a @ dec.v == dec.s
+        assert tuple(dec) == reference_pair_snf_ext(a, ALL_TRANSFORMS)
+
+    @pytest.mark.parametrize("seed, u_bits, v_bits", [(808, 141, 1855), (809, 392, 2001)])
+    def test_transform_growth_pinned(self, seed, u_bits, v_bits):
+        # the largest u and v entries of a dense 28 x 28 matrix may shrink, never grow
+        rng = random.Random(seed)
+        dec = smith_normal_form(IntMatrix(28, 28, tuple(rng.randint(-20, 20) for _ in range(28 * 28))))
+        assert max(abs(x).bit_length() for row in dec.u_rows for x in row) <= u_bits
+        assert max(abs(x).bit_length() for row in dec.vt for x in row) <= v_bits
 
 
 class TestNoCoercion:

@@ -545,6 +545,22 @@ class TestOversizedValues:
         assert (code, out) == (2, "")
         assert err == "error: no such file: 'mmmmmmmmmmmm...mmmmmmmmmmmmm'\n"
 
+    @pytest.mark.parametrize(
+        "command, text, line",
+        [
+            ("khom", "<a,b | a b " + "c" * 100_000 + ">", "undeclared generator 'cccccccccccc...ccccccccccccc'"),
+            ("homology", "<a | a > " + "z" * 100_000, "trailing input 'zzzzzzzzzzzz...zzzzzzzzzzzzz'"),
+        ],
+        ids=["khom-identifier", "homology-trailing-input"],
+    )
+    def test_presentation_token(self, command, text, line):
+        # the parser quotes a long token shortened, as a bsk process writes it
+        done = run_process(command, text)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert_one_line_error(done.stderr)
+        assert len(done.stderr.encode()) < 1024, len(done.stderr)
+        assert done.stderr.startswith(f"error: {line} (at position ")
+
 
 class TestSnfHugeEntries:
     """Computed transforms may be longer than the 4,300 digits Python
