@@ -89,7 +89,7 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def col(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[j :: self.cols]
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -447,10 +447,6 @@ class GroupHom(namedtuple("GroupHom", "source target matrix")):
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         return self.target.reduce(self.matrix.apply(vec))
-
-
-def _basis_vec(n: int, j: int) -> tuple[int, ...]:
-    return tuple(1 if i == j else 0 for i in range(n))
 
 
 # ---------------------------------------------------------------------------

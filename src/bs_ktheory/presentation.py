@@ -8,8 +8,13 @@ Grammar (whitespace insignificant between tokens)::
     rel          := word ["=" word]
     word         := letter {letter}
     letter       := ident ["^" int]
-    ident        := [A-Za-z][A-Za-z0-9_]*
+    ident        := alpha {alnum | "_"}
     int          := nonzero signed decimal
+
+where alpha is a character ``str.isalpha`` accepts and alnum one
+``str.isalnum`` accepts, in any script: ``<α,β | α β α^-1 β^-2>`` parses,
+and ``a²`` is one generator name, not a squared ``a``. Exponent digits
+are ASCII only.
 
 An equation form w1 = w2 is converted to the relator w1 * w2^-1. Only one
 relator is accepted; a comma in the relator part is an error.
@@ -36,7 +41,6 @@ from .abelian import (
     FgAbGroup,
     GroupHom,
     IntMatrix,
-    _basis_vec,
     _cokernel_ext,
     _dominant_names,
     element_order,
@@ -71,18 +75,11 @@ class Word(namedtuple("Word", "letters")):
     def __new__(cls, letters: tuple[Letter, ...] = ()):
         return tuple.__new__(cls, (_reduce_letters(letters),))
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.letters
-
     def inverse(self) -> "Word":
         return Word(tuple((g, -e) for g, e in reversed(self.letters)))
 
     def __mul__(self, other: "Word") -> "Word":
         return Word(self.letters + other.letters)
-
-    def exponent_sum(self, gen: int) -> int:
-        return sum(e for g, e in self.letters if g == gen)
 
 
 class Presentation(namedtuple("Presentation", "generators relator")):
@@ -241,7 +238,10 @@ def parse(text: str) -> Presentation:
 
 def exponent_vector(p: Presentation) -> tuple[int, ...]:
     """Sum of exponents of each generator in the relator."""
-    return tuple(p.relator.exponent_sum(i) for i in range(len(p.generators)))
+    sums = [0] * len(p.generators)
+    for g, e in p.relator.letters:
+        sums[g] += e
+    return tuple(sums)
 
 
 def _abelianization_ext(p: Presentation) -> tuple[FgAbGroup, GroupHom]:
@@ -306,17 +306,12 @@ def classifying_space_k(p: Presentation) -> tuple[FgAbGroup, FgAbGroup, KClassLe
     k0 = FgAbGroup.free(1 + hom.h2.free_rank, (hom.basepoint_gen,) + hom.h2.gen_names)
     k1 = hom.h1
 
-    ledger = KClassLedger()
-    ledger = ledger.with_entry(
-        "[pt]",
-        KClass("k0", _basis_vec(k0.gen_count, 0), math.inf, "inclusion of a base point"),
-    )
+    entries = {"[pt]": KClass("k0", (1, *hom.h2.zero()), math.inf, "inclusion of a base point")}
+    proj = hom.h1_projection.matrix
     for i, name in enumerate(p.generators):
-        vec = hom.h1_projection.apply(_basis_vec(len(p.generators), i))
-        ledger = ledger.with_entry(
-            name, KClass("k1", vec, element_order(k1, vec), "class of a group generator")
-        )
-    return k0, k1, ledger
+        vec = k1.reduce(proj.col(i))
+        entries[name] = KClass("k1", vec, element_order(k1, vec), "class of a group generator")
+    return k0, k1, KClassLedger(entries)
 
 
 def bs_presentation(n: int) -> Presentation:

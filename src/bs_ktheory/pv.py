@@ -339,7 +339,7 @@ def pv_solve(kinput: KInput, apply_boundary_rule: bool = True) -> PvSolution:
             names[seq1.sub.free_rank] = "u"
             seq1 = seq1._replace(middle=seq1.middle.renamed(names))
 
-    out = KClassLedger()
+    out = {}
     crossed = {"k0": (side0, seq0, "crossed0"), "k1": (side1, seq1, "crossed1")}
     for symbol, entry in sorted(ledger.items()):
         if entry.location in crossed:
@@ -352,9 +352,9 @@ def pv_solve(kinput: KInput, apply_boundary_rule: bool = True) -> PvSolution:
             entry = KClass("crossed1", u_vector, order, "section generator over [1]; boundary image is -[1]")
         elif entry.location == "unitary":
             entry = KClass("crossed1", None, None, "boundary rule disabled: order undetermined")
-        out = out.with_entry(symbol, entry)
+        out[symbol] = entry
 
-    return PvSolution(seq0.middle, seq1.middle, out, seq0, seq1)
+    return PvSolution(seq0.middle, seq1.middle, KClassLedger(out), seq0, seq1)
 
 
 def bs_input(n: int) -> KInput:

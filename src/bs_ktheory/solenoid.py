@@ -91,9 +91,6 @@ class NadicRational(namedtuple("NadicRational", "n m exp")):
         m = self.m * self.n ** (e - self.exp) + other.m * self.n ** (e - other.exp)
         return NadicRational(self.n, m, e)
 
-    def __neg__(self) -> "NadicRational":
-        return NadicRational(self.n, -self.m, self.exp)
-
     def __str__(self) -> str:
         return str(self.value())
 

@@ -522,7 +522,7 @@ def abelianization(p: Presentation) -> FgAbGroup:
 
 def render(p: Presentation) -> str:
     """Parseable text form; inverse of ``parse`` on constructible input."""
-    if p.relator.is_empty:
+    if not p.relator.letters:
         raise ValueError("the empty relator has no textual form")
     gens = ", ".join(p.generators)
     body = " ".join(p.generators[g] if e == 1 else f"{p.generators[g]}^{e}" for g, e in p.relator.letters)

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -24,11 +25,11 @@ class TestWord:
         w = Word(((0, 2), (0, -2), (1, 3)))
         assert w.letters == ((1, 3),)
         w = Word(((0, 1), (1, 1), (1, -1), (0, -1)))
-        assert w.is_empty
+        assert not w.letters
 
     def test_inverse(self):
         w = Word(((0, 1), (1, -3)))
-        assert (w * w.inverse()).is_empty
+        assert not (w * w.inverse()).letters
         assert w.inverse().letters == ((1, 3), (0, -1))
 
     def test_reduction_idempotent(self):
@@ -75,6 +76,19 @@ class TestParse:
             with pytest.raises(ParseError):
                 parse(text)
 
+    def test_identifier_rule(self):
+        """A name starts with a str.isalpha character and goes on with
+        str.isalnum characters or underscores, in any script."""
+        p = parse("<α,β|α β α^-1 β^-2>")
+        assert p.generators == ("α", "β")
+        assert p.relator.letters == ((0, 1), (1, 1), (0, -1), (1, -2))
+        p = parse("<a²,b_1|a² b_1>")
+        assert p.generators == ("a²", "b_1")
+        assert p.relator.letters == ((0, 1), (1, 1))
+        for text in ("<_a|_a>", "<1a|a>"):
+            with pytest.raises(ParseError):
+                parse(text)
+
     def test_whitespace_insensitive(self):
         assert parse("<a,b|a b a^-1=b^3>") == parse("  < a , b |  a b a^-1 = b^3 >  ")
 
@@ -87,7 +101,7 @@ class TestParse:
                 for _ in range(rng.randint(1, 6))
             )
             relator = Word(letters)
-            if relator.is_empty:
+            if not relator.letters:
                 continue
             p = Presentation(gens, relator)
             assert parse(render(p)) == p
@@ -110,11 +124,23 @@ class TestExponentVector:
             gens = ("a", "b")
             letters = tuple((rng.randrange(2), rng.choice((-2, -1, 1, 2))) for _ in range(rng.randint(1, 6)))
             w = Word(letters)
-            if w.is_empty:
+            if not w.letters:
                 continue
             p = Presentation(gens, w)
             q = Presentation(gens, w.inverse())
             assert exponent_vector(q) == tuple(-x for x in exponent_vector(p))
+
+    def test_one_pass_over_syllables(self):
+        rng = random.Random(18)
+        gens = tuple(f"g{i}" for i in range(1000))
+        rounds = [[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in gens] for _ in range(60)]
+        # consecutive syllables use distinct generators, so nothing reduces
+        p = Presentation(gens, Word(tuple((g, row[g]) for row in rounds for g in range(len(gens)))))
+        assert len(p.relator.letters) == 60_000
+        start = time.perf_counter()
+        sums = exponent_vector(p)
+        assert time.perf_counter() - start < 0.5
+        assert sums == tuple(sum(row[g] for row in rounds) for g in range(len(gens)))
 
 
 class TestAbelianization:
@@ -138,7 +164,7 @@ class TestAbelianization:
             gens = ("a", "b")
             letters = tuple((rng.randrange(2), rng.choice((-2, -1, 1, 2))) for _ in range(rng.randint(1, 6)))
             w = Word(letters)
-            if w.is_empty:
+            if not w.letters:
                 continue
             p = Presentation(gens, w)
             base = abelianization(p)
@@ -228,7 +254,7 @@ class TestHomology:
             gens = ("a", "b")
             letters = tuple((rng.randrange(2), rng.choice((-2, -1, 1, 2))) for _ in range(rng.randint(1, 6)))
             w = Word(letters)
-            if w.is_empty:
+            if not w.letters:
                 continue
             p = Presentation(gens, w)
             try:
@@ -264,6 +290,21 @@ class TestClassifyingSpaceK:
         k0, k1, ledger = classifying_space_k(bs_presentation(2))
         assert (k1.free_rank, k1.torsion) == (1, ())
         assert ledger["b"].order == 1
+
+    def test_six_hundred_generators_in_time(self):
+        """Each generator's class is read off as a projection column."""
+        m = 600
+        p = parse(f"<{','.join(f'a{i}' for i in range(m))} | a0 a1 a0^-1 a1^-3>")
+        start = time.perf_counter()
+        k0, k1, ledger = classifying_space_k(p)
+        assert time.perf_counter() - start < 2
+        assert (k0.free_rank, k1.free_rank, k1.torsion) == (1, m - 1, (2,))
+        rows = presentation_homology(p).h1_projection.matrix.to_rows()
+        assert ledger["[pt]"].vector == (1,)
+        for i in range(m):
+            entry = ledger[f"a{i}"]
+            assert entry.vector == k1.reduce([row[i] for row in rows])
+            assert entry.order == (2 if i == 1 else float("inf"))
 
 
 class TestBsPresentation:

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+import time
 
 import pytest
 
@@ -342,6 +343,26 @@ class TestPastTheDigitLimit:
         assert sol.ledger_out["[b]"].note == (
             f"order divides {ten_to_4300} (coinvariants of multiplication by {ten_to_4300})"
         )
+
+
+class TestLedgerScaling:
+    def test_twenty_thousand_entries_in_time(self):
+        """The solve handles each ledger entry once: linear, not quadratic."""
+        data = kinput_to_json(bs_input(3))
+        count = 20_000
+        for i in range(count):
+            data["ledger"][f"[e{i}]"] = {"group": "k0", "coeffs": [i], "order": "inf" if i else 1}
+        start = time.perf_counter()
+        sol = pv_solve(kinput_from_json(data))
+        assert time.perf_counter() - start < 2
+        assert len(sol.ledger_out) == count + 4  # [1], [a], [b], [u]
+        # degree zero is Z with the identity action, so [i] goes to i times [1]
+        unit = sol.ledger_out["[1]"].vector
+        for i in range(count):
+            entry = sol.ledger_out[f"[e{i}]"]
+            assert entry.location == "crossed0"
+            assert entry.vector == tuple(i * x for x in unit)
+            assert entry.order == (math.inf if i else 1)
 
 
 class TestJson:

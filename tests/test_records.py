@@ -140,7 +140,7 @@ def test_defaults():
     assert LocalizedInt(3).symbol == "v"
     assert LocObject(LocalizedInt(3)).torsion == FgAbGroup.trivial()
     assert KClass("k0", None, None).note == ""
-    assert Word().letters == () and Word().is_empty
+    assert Word().letters == ()
     z = FgAbGroup.free(1)
     assert BcReport(2, z, z, z, z, (), True, "Z").assumptions == ASSUMPTIONS
 
