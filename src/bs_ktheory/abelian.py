@@ -38,11 +38,13 @@ from collections import namedtuple
 from collections.abc import Sequence
 from functools import lru_cache
 
+from .errors import _checked_namedtuple
+
 # ---------------------------------------------------------------------------
 # integer matrices
 
 
-class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
+class IntMatrix(_checked_namedtuple("IntMatrix", "rows cols entries")):
     """An immutable rows x cols integer matrix, stored row-major."""
 
     __slots__ = ()
@@ -323,7 +325,7 @@ def _split_diag(diag: tuple[int, ...], count: int) -> tuple[range, range]:
 # groups and homomorphisms
 
 
-class FgAbGroup(namedtuple("FgAbGroup", "free_rank torsion gen_names")):
+class FgAbGroup(_checked_namedtuple("FgAbGroup", "free_rank torsion gen_names")):
     """A finitely generated abelian group in invariant-factor normal form.
 
     ``torsion`` is the chain (d1, ..., dk) with each di >= 2 and d1 | d2 |
@@ -413,7 +415,7 @@ class FgAbGroup(namedtuple("FgAbGroup", "free_rank torsion gen_names")):
         return self.describe()
 
 
-class GroupHom(namedtuple("GroupHom", "source target matrix")):
+class GroupHom(_checked_namedtuple("GroupHom", "source target matrix")):
     """A homomorphism between FgAbGroups as an integer matrix.
 
     Columns are indexed by source generators, rows by target generators.

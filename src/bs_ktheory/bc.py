@@ -5,15 +5,15 @@ the analytic side is the crossed-product K-theory from the six-term
 solver. The two are computed by disjoint pipelines and compared as
 abstract groups together with the distinguished generators: the basepoint
 class against the unit class, and each group generator against its
-unitary class. Orders are computed independently on each side, never
-copied across.
+unitary class, all three by one rule on the orders each side's ledger
+records: computed independently on each side, never copied across.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .abelian import FgAbGroup, element_order, generates, group_to_json, is_isomorphic
+from .abelian import FgAbGroup, generates, group_to_json, is_isomorphic
 from .errors import DomainError, UnspecifiedTraceValue
 from .ledger import _order_text, order_to_json
 from .presentation import bs_presentation, classifying_space_k
@@ -93,24 +93,14 @@ def bc_compare(n: int) -> BcReport:
     rhs_k0, rhs_k1 = solution.k0_crossed, solution.k1_crossed
     rhs_ledger = solution.ledger_out
 
-    pt = lhs_ledger["[pt]"]
-    unit = rhs_ledger["[1]"]
-    ord_pt = element_order(lhs_k0, pt.vector)
-    ord_unit = element_order(rhs_k0, unit.vector)
-    base_match = MatchLine(
-        "[pt]",
-        "[1]",
-        ord_pt,
-        ord_unit,
-        ord_pt == ord_unit and generates(lhs_k0, pt.vector) and generates(rhs_k0, unit.vector),
-    )
-
-    matches = [base_match]
-    for lhs_symbol, rhs_symbol in (("a", "[a]"), ("b", "[b]")):
-        rhs_vector = rhs_ledger[rhs_symbol].vector
-        ord_l = element_order(lhs_k1, lhs_ledger[lhs_symbol].vector)
-        ord_r = element_order(rhs_k1, rhs_vector) if rhs_vector is not None else None
-        matches.append(MatchLine(lhs_symbol, rhs_symbol, ord_l, ord_r, ord_l == ord_r))
+    matches = []
+    for lhs_symbol, rhs_symbol in (("[pt]", "[1]"), ("a", "[a]"), ("b", "[b]")):
+        lhs, rhs = lhs_ledger[lhs_symbol], rhs_ledger[rhs_symbol]
+        # the degree-zero classes must also generate K0 on both sides
+        matched = lhs.order == rhs.order and (
+            lhs_symbol != "[pt]" or (generates(lhs_k0, lhs.vector) and generates(rhs_k0, rhs.vector))
+        )
+        matches.append(MatchLine(lhs_symbol, rhs_symbol, lhs.order, rhs.order, matched))
 
     verdict = (
         is_isomorphic(lhs_k0, rhs_k0)

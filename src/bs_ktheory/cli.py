@@ -182,12 +182,10 @@ def _run_pair(args):
             applicable += 1
             direct = pairing(z, x)
             if x.exp + 1 <= z.depth:
-                rewritten = pairing_raw(z, x.m * args.n, x.exp + 1)
-                ok = ok and rewritten == direct
-        if x.exp <= z.depth and y.exp <= z.depth:
-            applicable += 1
-            total = pairing(z, x + y)
-            ok = ok and total == pairing(z, x) + pairing(z, y)
+                ok = pairing_raw(z, x.m * args.n, x.exp + 1) == direct
+            if y.exp <= z.depth:
+                applicable += 1
+                ok = ok and pairing(z, x + y) == direct + pairing(z, y)
         if z.depth >= max(1, x.exp):
             applicable += 1
             ok = ok and duality_check(z, x)

@@ -15,7 +15,6 @@ are rejected with ``UnsupportedColimitShape`` rather than approximated.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 from .abelian import (
     FgAbGroup,
@@ -35,10 +34,10 @@ from .abelian import (
     json_value,
     solve,
 )
-from .errors import InvariantViolation, StabilizationOverflow, UnsupportedColimitShape
+from .errors import InvariantViolation, StabilizationOverflow, UnsupportedColimitShape, _checked_namedtuple
 
 
-class LocalizedInt(namedtuple("LocalizedInt", "n symbol")):
+class LocalizedInt(_checked_namedtuple("LocalizedInt", "n symbol")):
     """Z[1/n]: the colimit of Z along multiplication by n.
 
     ``symbol`` names the distinguished element, the image of 1 from stage
@@ -93,7 +92,7 @@ def coprime_part(c: int, n: int) -> int:
     return m
 
 
-class LocObject(namedtuple("LocObject", "loc torsion")):
+class LocObject(_checked_namedtuple("LocObject", "loc torsion")):
     """A normalized colimit of the shape Z[1/n] + finite torsion; the
     torsion defaults to the trivial group."""
 
@@ -110,7 +109,7 @@ class LocObject(namedtuple("LocObject", "loc torsion")):
 AbObject = FgAbGroup | LocObject
 
 
-class ColimModule(namedtuple("ColimModule", "stage bond")):
+class ColimModule(_checked_namedtuple("ColimModule", "stage bond")):
     """The colimit of stage -> stage -> ... along the bonding self-map."""
 
     __slots__ = ()
@@ -121,7 +120,7 @@ class ColimModule(namedtuple("ColimModule", "stage bond")):
         return tuple.__new__(cls, (stage, bond))
 
 
-class LadderMap(namedtuple("LadderMap", "source target rung")):
+class LadderMap(_checked_namedtuple("LadderMap", "source target rung")):
     """A map of colimits given stage-wise by one rung.
 
     Strict commutation rung o source.bond = target.bond o rung is required

@@ -1,6 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the base of its checked
+records."""
 
 from __future__ import annotations
+
+from collections import namedtuple
+
+
+def _checked_namedtuple(typename: str, field_names: str) -> type:
+    """A namedtuple base whose ``_make``, and so ``_replace``, goes through
+    the subclass's checking ``__new__``; namedtuple's own skips it."""
+    base = namedtuple(typename, field_names)
+    base._make = classmethod(lambda cls, fields: cls(*fields))
+    return base
 
 
 class DomainError(ValueError):

@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import math
 import reprlib
-from collections import namedtuple
 from collections.abc import Iterator, Mapping
 
 from .abelian import json_fail, json_field, json_value
+from .errors import _checked_namedtuple
 
 LOCATIONS = ("k0", "k1", "crossed0", "crossed1", "unitary")
 
 
-class KClass(namedtuple("KClass", "location vector order note")):
+class KClass(_checked_namedtuple("KClass", "location vector order note")):
     """A tracked class: where it lives, its coefficient vector there, and its
     order (math.inf for free classes, None when undetermined)."""
 

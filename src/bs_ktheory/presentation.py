@@ -33,9 +33,7 @@ their digits, so ``bs_presentation`` accepts every nonzero integer n.
 
 from __future__ import annotations
 
-import math
 import reprlib
-from collections import namedtuple
 
 from .abelian import (
     FgAbGroup,
@@ -45,7 +43,7 @@ from .abelian import (
     _dominant_names,
     element_order,
 )
-from .errors import DomainError, ParseError, ProperPowerRelator, UndeclaredGenerator
+from .errors import DomainError, ParseError, ProperPowerRelator, UndeclaredGenerator, _checked_namedtuple
 from .ledger import KClass, KClassLedger
 
 Letter = tuple[int, int]  # (generator index, nonzero exponent)
@@ -67,7 +65,7 @@ def _reduce_letters(letters) -> tuple[Letter, ...]:
     return tuple((g, e) for g, e in out)
 
 
-class Word(namedtuple("Word", "letters")):
+class Word(_checked_namedtuple("Word", "letters")):
     """A freely reduced word: adjacent letters use distinct generators."""
 
     __slots__ = ()
@@ -82,7 +80,7 @@ class Word(namedtuple("Word", "letters")):
         return Word(self.letters + other.letters)
 
 
-class Presentation(namedtuple("Presentation", "generators relator")):
+class Presentation(_checked_namedtuple("Presentation", "generators relator")):
     """A one-relator presentation < generators | relator >."""
 
     __slots__ = ()
@@ -97,7 +95,7 @@ class Presentation(namedtuple("Presentation", "generators relator")):
         return tuple.__new__(cls, (generators, relator))
 
 
-class ComplexHomology(namedtuple("ComplexHomology", "h0 h1 h2 basepoint_gen h1_projection")):
+class ComplexHomology(_checked_namedtuple("ComplexHomology", "h0 h1 h2 basepoint_gen h1_projection")):
     """Homology of the presentation complex; h0 is Z with a named basepoint.
 
     ``h1_projection`` maps the 1-cycles, one generator per edge, onto h1.
@@ -306,7 +304,8 @@ def classifying_space_k(p: Presentation) -> tuple[FgAbGroup, FgAbGroup, KClassLe
     k0 = FgAbGroup.free(1 + hom.h2.free_rank, (hom.basepoint_gen,) + hom.h2.gen_names)
     k1 = hom.h1
 
-    entries = {"[pt]": KClass("k0", (1, *hom.h2.zero()), math.inf, "inclusion of a base point")}
+    pt = (1, *hom.h2.zero())
+    entries = {"[pt]": KClass("k0", pt, element_order(k0, pt), "inclusion of a base point")}
     proj = hom.h1_projection.matrix
     for i, name in enumerate(p.generators):
         vec = k1.reduce(proj.col(i))

@@ -56,13 +56,13 @@ from .colimit import (
     ladder_cokernel,
     ladder_kernel,
 )
-from .errors import DomainError, InvariantViolation, UnresolvedExtension
+from .errors import DomainError, InvariantViolation, UnresolvedExtension, _checked_namedtuple
 from .ledger import KClass, KClassLedger, ledger_from_json, ledger_to_json
 
 SelfMap = GroupHom | LadderMap
 
 
-class KInput(namedtuple("KInput", "k0 k1 alpha0 alpha1 ledger")):
+class KInput(_checked_namedtuple("KInput", "k0 k1 alpha0 alpha1 ledger")):
     """K-theory of the coefficient algebra, ready for the solver.
 
     Ledger entries live in k0, k1 or "unitary"; the ledger must locate the
@@ -158,16 +158,16 @@ class PvSolution(namedtuple("PvSolution", "k0_crossed k1_crossed ledger_out seq0
     seq1: SeqRecord
 
 
-class _Side(namedtuple("_Side", "coinv proj inv d ker c")):
+class _Side(namedtuple("_Side", "coinv proj inv d ker note")):
     """Coinvariants and invariants of Id - alpha_* in one degree, as data.
 
     ``proj`` holds the rows of the projection onto the coinvariants ``coinv``;
-    ``inv`` is the invariants. A finitely generated side keeps ``d`` = Id -
-    alpha_* and its kernel data ``ker`` for the unit guard, and ``c`` is None.
-    A localized side keeps the multiplier ``c`` = 1 - r for the note on a
-    killed class, and ``d`` and ``ker`` are None: the unit guard never reads
-    them there, since a unital ``alpha0`` on a localization has rung 1, which
-    ``_loc_side`` rejects first.
+    ``inv`` is the invariants, and ``note`` is the note on a class the
+    projection kills. A finitely generated side keeps ``d`` = Id - alpha_*
+    and its kernel data ``ker`` for the unit guard. A localized side has
+    ``d`` and ``ker`` None: the unit guard never reads them there, since a
+    unital ``alpha0`` on a localization has rung 1, which ``_loc_side``
+    rejects first.
     """
 
     __slots__ = ()
@@ -177,14 +177,14 @@ class _Side(namedtuple("_Side", "coinv proj inv d ker c")):
     inv: FgAbGroup
     d: GroupHom | None
     ker: _KernelData | None
-    c: int | None
+    note: str
 
 
 def _fg_side(group: FgAbGroup, alpha: GroupHom) -> _Side:
     d = GroupHom(group, group, identity_minus(alpha.matrix))
     coker = _cokernel_ext(d)
     ker = _kernel_ext(d)
-    return _Side(coker.group, coker.proj, ker.group, d, ker, None)
+    return _Side(coker.group, coker.proj, ker.group, d, ker, "killed by the coinvariants projection")
 
 
 def _push(side: _Side, vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -201,12 +201,6 @@ def _digits(c: int) -> str:
         from decimal import Decimal  # converts without that limit
 
         return str(Decimal(c))
-
-
-def _killed_note(side: _Side) -> str:
-    if side.c is None:
-        return "killed by the coinvariants projection"
-    return f"order divides {_digits(abs(side.c))} (coinvariants of multiplication by {_digits(side.c)})"
 
 
 def _loc_side(obj: LocObject, alpha: LadderMap, degree: int) -> _Side:
@@ -238,7 +232,8 @@ def _loc_side(obj: LocObject, alpha: LadderMap, degree: int) -> _Side:
     if not (isinstance(staged_kernel, FgAbGroup) and staged_kernel.is_trivial):
         raise InvariantViolation("staged kernel of Id - alpha on a localization is not trivial")
 
-    return _Side(coinv, proj, FgAbGroup.trivial(), None, None, c)
+    note = f"order divides {_digits(abs(c))} (coinvariants of multiplication by {_digits(c)})"
+    return _Side(coinv, proj, FgAbGroup.trivial(), None, None, note)
 
 
 def _make_side(k: AbObject, alpha: SelfMap, degree: int) -> _Side:
@@ -324,7 +319,6 @@ def pv_solve(kinput: KInput, apply_boundary_rule: bool = True) -> PvSolution:
     _audit(seq0)
     _audit(seq1)
 
-    u_vector: tuple[int, ...] | None = None
     if apply_boundary_rule:
         # alpha is unital, so [1] is invariant; guarded rather than assumed
         unit = ledger["[1]"].vector
@@ -338,20 +332,21 @@ def pv_solve(kinput: KInput, apply_boundary_rule: bool = True) -> PvSolution:
         if quot.free_rank == 1 and not quot.torsion and abs(expressed[0]) == 1 and "u" not in names:
             names[seq1.sub.free_rank] = "u"
             seq1 = seq1._replace(middle=seq1.middle.renamed(names))
+        order = element_order(seq1.middle, u_vector)
+        unitary = KClass("crossed1", u_vector, order, "section generator over [1]; boundary image is -[1]")
+    else:
+        unitary = KClass("crossed1", None, None, "boundary rule disabled: order undetermined")
 
     out = {}
     crossed = {"k0": (side0, seq0, "crossed0"), "k1": (side1, seq1, "crossed1")}
     for symbol, entry in sorted(ledger.items()):
-        if entry.location in crossed:
+        if entry.location == "unitary":
+            entry = unitary
+        else:
             side, seq, location = crossed[entry.location]
             vec = _in_middle(seq, _push(side, entry.vector), seq.quotient.zero())
-            note = _killed_note(side) if (not any(vec) and any(entry.vector)) else ""
+            note = side.note if (not any(vec) and any(entry.vector)) else ""
             entry = KClass(location, vec, element_order(seq.middle, vec), note)
-        elif entry.location == "unitary" and u_vector is not None:
-            order = element_order(seq1.middle, u_vector)
-            entry = KClass("crossed1", u_vector, order, "section generator over [1]; boundary image is -[1]")
-        elif entry.location == "unitary":
-            entry = KClass("crossed1", None, None, "boundary rule disabled: order undetermined")
         out[symbol] = entry
 
     return PvSolution(seq0.middle, seq1.middle, KClassLedger(out), seq0, seq1)

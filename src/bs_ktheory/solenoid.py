@@ -12,14 +12,13 @@ raises DepthExceeded past it.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from math import gcd
 from random import Random
 
-from .errors import DepthExceeded
+from .errors import DepthExceeded, _checked_namedtuple
 
 
-class RationalAngle(namedtuple("RationalAngle", "p q")):
+class RationalAngle(_checked_namedtuple("RationalAngle", "p q")):
     """e^(2 pi i p/q) as the reduced pair p/q with 0 <= p < q."""
 
     __slots__ = ()
@@ -38,7 +37,7 @@ class RationalAngle(namedtuple("RationalAngle", "p q")):
         return f"{self.p}/{self.q}" if self.q != 1 else str(self.p)
 
 
-class SolenoidPoint(namedtuple("SolenoidPoint", "n depth deepest")):
+class SolenoidPoint(_checked_namedtuple("SolenoidPoint", "n depth deepest")):
     """A depth-L truncation (theta_0, ..., theta_L) with n*theta_{k+1} = theta_k
     mod 1, kept as its deepest angle theta_L, so compatibility holds by
     construction. ``deepest`` is a (p, q) pair; it is reduced."""
@@ -53,7 +52,7 @@ class SolenoidPoint(namedtuple("SolenoidPoint", "n depth deepest")):
         return tuple.__new__(cls, (n, depth, RationalAngle(*deepest)))
 
 
-class NadicRational(namedtuple("NadicRational", "n m exp")):
+class NadicRational(_checked_namedtuple("NadicRational", "n m exp")):
     """m / n^exp in Z[1/n], canonical: n does not divide m, or exp = 0."""
 
     __slots__ = ()

@@ -6,6 +6,7 @@ from bs_ktheory.abelian import FgAbGroup, element_order
 from bs_ktheory.bc import bc_compare, render_report, report_to_json, trace_image
 from bs_ktheory.errors import DomainError, UnspecifiedTraceValue
 from bs_ktheory.ledger import KClass, KClassLedger
+from bs_ktheory.presentation import bs_presentation, classifying_space_k
 from bs_ktheory.pv import PvSolution, SeqRecord, bs_input, pv_solve
 from helpers import run_optimized
 
@@ -43,22 +44,28 @@ class TestCompare:
         assert report.lhs_k1.torsion == (2,) and report.rhs_k1.torsion == (2,)
 
     def test_orders_computed_independently(self):
-        # re-derive each side's orders from its own ledger and group;
-        # the report must agree with both, not copy one across
-        for n in (5, -2):
+        # re-derive every order from its own side's group and vector; each
+        # ledger must hold it, and the report must carry each side's own
+        for n in GRID:
             report = bc_compare(n)
-            from bs_ktheory.presentation import bs_presentation, classifying_space_k
-
-            _, lhs_k1, lhs_ledger = classifying_space_k(bs_presentation(n))
+            lhs_k0, lhs_k1, lhs_ledger = classifying_space_k(bs_presentation(n))
             sol = pv_solve(bs_input(n))
-            by_symbol = {m.lhs_symbol: m for m in report.generator_matches}
-            assert by_symbol["b"].order_lhs == element_order(lhs_k1, lhs_ledger["b"].vector)
-            assert by_symbol["b"].order_rhs == element_order(
-                sol.k1_crossed, sol.ledger_out["[b]"].vector
-            )
+            groups = {"k0": lhs_k0, "k1": lhs_k1, "crossed0": sol.k0_crossed, "crossed1": sol.k1_crossed}
+            for ledger in (lhs_ledger, sol.ledger_out):
+                for symbol, entry in ledger.items():
+                    vec = entry.vector
+                    expected = None if vec is None else element_order(groups[entry.location], vec)
+                    assert entry.order == expected, (n, symbol)
+            pairs = [(m.lhs_symbol, m.rhs_symbol) for m in report.generator_matches]
+            assert pairs == [("[pt]", "[1]"), ("a", "[a]"), ("b", "[b]")]
+            for m in report.generator_matches:
+                lhs, rhs = lhs_ledger[m.lhs_symbol], sol.ledger_out[m.rhs_symbol]
+                assert m.order_lhs == element_order(groups[lhs.location], lhs.vector), (n, m)
+                assert m.order_rhs == element_order(groups[rhs.location], rhs.vector), (n, m)
 
     def test_parameter_past_the_digit_limit(self):
-        # 1 - n has 4,301 digits; the comparison formats none of its integers
+        # 1 - n has 4,301 digits, past the int-to-str limit; the solver formats
+        # it once, for its note on a killed class, without that limit
         report = bc_compare(-(10**4300 - 1))
         assert report.verdict
         assert report.rhs_k1.torsion == (10**4300,)

@@ -10,9 +10,9 @@ from bs_ktheory.abelian import FgAbGroup, GroupHom, IntMatrix, solve
 from bs_ktheory.cli import main
 from bs_ktheory.colimit import ColimModule, LadderMap, LocalizedInt, LocObject, coprime_part
 from bs_ktheory.ledger import KClass, KClassLedger
-from bs_ktheory.presentation import ComplexHomology, Presentation, Word
-from bs_ktheory.pv import KInput
-from bs_ktheory.solenoid import NadicRational, pairing, random_point
+from bs_ktheory.presentation import ComplexHomology, Presentation, Word, bs_presentation, presentation_homology
+from bs_ktheory.pv import KInput, bs_input
+from bs_ktheory.solenoid import NadicRational, RationalAngle, SolenoidPoint, pairing, random_point
 
 Z = FgAbGroup.free(1, ("x",))
 Z2 = FgAbGroup.free(2, ("x", "y"))
@@ -180,6 +180,35 @@ class TestSolenoidRecords:
     def test_pairing_over_different_bases(self):
         with raises("point and element live over different bases"):
             pairing(random_point(2, 3, seed=1), NadicRational(3, 1, 1))
+
+
+# one validated record of each kind, a field, and a value its constructor rejects
+REPLACEMENTS = [
+    (IntMatrix(1, 1, (1,)), "entries", (1.5,)),
+    (FgAbGroup(0, (2,), ("x",)), "torsion", (3, 2)),
+    (GroupHom.identity(Z), "matrix", IntMatrix(1, 2, (1, 0))),
+    (LocalizedInt(2), "n", 0),
+    (LocObject(LocalizedInt(2)), "torsion", Z),
+    (LocalizedInt(2).as_colim(), "bond", GroupHom.identity(Z2)),
+    (ladder(2, 3), "rung", GroupHom.identity(Z2)),
+    (KClass("k0", (1,), math.inf), "location", "k2"),
+    (Word(((0, 1),)), "letters", ((0, 1.5),)),
+    (Presentation(("a",), Word(((0, 1),))), "relator", Word(((1, 1),))),
+    (presentation_homology(bs_presentation(2)), "h0", Z2),
+    (bs_input(2), "ledger", KClassLedger({})),
+    (RationalAngle(1, 2), "q", 0),
+    (SolenoidPoint(2, 3, (1, 2)), "depth", -1),
+    (NadicRational(2, 1, 0), "exp", -1),
+]
+
+
+@pytest.mark.parametrize("record, field, bad", REPLACEMENTS, ids=[type(r).__name__ for r, _, _ in REPLACEMENTS])
+def test_replace_revalidates(record, field, bad):
+    # _replace goes through the constructor, so it raises the constructor's error
+    with pytest.raises(ValueError) as built:
+        type(record)(**{**record._asdict(), field: bad})
+    with raises(str(built.value)):
+        record._replace(**{field: bad})
 
 
 def test_pair_negative_depth_exits_2(capsys):
