@@ -434,10 +434,10 @@ class GroupHom(_checked_namedtuple("GroupHom", "source target matrix")):
     def __post_init__(self):
         if self.matrix.rows != self.target.gen_count or self.matrix.cols != self.source.gen_count:
             raise ValueError("matrix dimensions do not match generator counts")
+        r = self.target.free_rank
         for j, d in enumerate(self.source.torsion):
-            col = self.matrix.col(self.source.free_rank + j)
-            image = self.target.reduce(tuple(d * x for x in col))
-            if any(image):
+            col = self.matrix.col(self.source.free_rank + j)  # d x = 0 mod t: x = 0 mod t / gcd(d, t)
+            if any(col[:r]) or any(x % (t // math.gcd(d, t)) for x, t in zip(col[r:], self.target.torsion)):
                 raise ValueError(
                     f"not well-defined on torsion: generator of order {d} "
                     f"maps to an element not killed by {d}"
@@ -515,11 +515,16 @@ class _CokernelData(namedtuple("_CokernelData", "group proj lifts")):
     lifts: list[list[int]]  # lifts[j] is a target vector over quotient generator j
 
 
-def _cokernel_ext(h: GroupHom) -> _CokernelData:
+def _relations_snf(h: GroupHom, track: Sequence[str] = ("u_rows", "vt", "uit")) -> SnfDecomposition:
+    """Smith form of [h | target relations]: with all three transforms, the ``ext`` of h's kernel and cokernel."""
+    return _snf_ext(_with_relations(h.matrix.to_rows(), h.matrix.cols, h.target), track)
+
+
+def _cokernel_ext(h: GroupHom, ext: SnfDecomposition | None = None) -> _CokernelData:
     """Normal form of target / im(h): the projection has one row per kept
     generator, and the lifts are its right inverse up to dropped unit summands."""
     target = h.target
-    ext = _snf_ext(_with_relations(h.matrix.to_rows(), h.matrix.cols, target), ("u_rows", "uit"))
+    ext = ext or _relations_snf(h, ("u_rows", "uit"))
     free_idx, tors_idx = _split_diag(ext.diag, target.gen_count)
     kept = [*free_idx, *tors_idx]
     proj = [ext.u_rows[i] for i in kept]
@@ -545,25 +550,26 @@ class _KernelData(namedtuple("_KernelData", "group source gens")):
     inclusion = property(lambda self: GroupHom(self.group, self.source, _from_cols(self.gens, self.source.gen_count)))
 
 
-def _kernel_ext(h: GroupHom) -> _KernelData:
+def _kernel_ext(h: GroupHom, ext: SnfDecomposition | None = None) -> _KernelData:
     n = h.source.gen_count
     # preimage lattice of the target relation lattice
-    a = _with_relations(h.matrix.to_rows(), h.matrix.cols, h.target)
-    generators = [vec[:n] for vec in integer_kernel_basis(a)]
-    k = len(generators)
-
-    # relations among those generators, modulo the source relation lattice
-    b_rows = [[g[i] for g in generators] for i in range(n)]
-    rel_gens = [vec[:k] for vec in integer_kernel_basis(_with_relations(b_rows, k, h.source))]
-
-    ext = _snf_ext(_from_cols(rel_gens, k), ("uit",))
-    free_idx, tors_idx = _split_diag(ext.diag, k)
-    gens = [
-        tuple(sum(c * g[i] for c, g in zip(ext.uit[j], generators)) for i in range(n))
-        for j in (*free_idx, *tors_idx)
-    ]
-    torsion = tuple(ext.diag[i] for i in tors_idx)
-    group = FgAbGroup(len(free_idx), torsion, _dominant_names(gens, h.source.gen_names, ""))
+    ext = ext or _relations_snf(h, ("vt",))
+    gens = [tuple(ext.vt[j][:n]) for j in _split_diag(ext.diag, len(ext.vt))[0]]
+    torsion = ()
+    # relations among the cut vectors come from source relations alone: the
+    # vectors are independent, as the relation columns are
+    if h.source.torsion:
+        generators, k = gens, len(gens)
+        b_rows = [[g[i] for g in generators] for i in range(n)]
+        rel_gens = [vec[:k] for vec in integer_kernel_basis(_with_relations(b_rows, k, h.source))]
+        ext = _snf_ext(_from_cols(rel_gens, k), ("uit",))
+        free_idx, tors_idx = _split_diag(ext.diag, k)
+        gens = [
+            tuple(sum(c * g[i] for c, g in zip(ext.uit[j], generators)) for i in range(n))
+            for j in (*free_idx, *tors_idx)
+        ]
+        torsion = tuple(ext.diag[i] for i in tors_idx)
+    group = FgAbGroup(len(gens) - len(torsion), torsion, _dominant_names(gens, h.source.gen_names, ""))
     return _KernelData(group, h.source, gens)
 
 
@@ -594,7 +600,7 @@ def solve(h: GroupHom, target_vec: Sequence[int]) -> tuple[int, ...] | None:
     """
     if len(target_vec) != h.target.gen_count:
         raise ValueError("vector length does not match target generator count")
-    ext = _snf_ext(_with_relations(h.matrix.to_rows(), h.matrix.cols, h.target), ("u_rows", "vt"))
+    ext = _relations_snf(h, ("u_rows", "vt"))
     free_idx, _ = _split_diag(ext.diag, h.target.gen_count)
     y = [sum(x * t for x, t in zip(row, target_vec)) for row in ext.u_rows]
     if any(y[i] for i in free_idx):

@@ -186,9 +186,9 @@ def _run_pair(args):
             if y.exp <= z.depth:
                 applicable += 1
                 ok = ok and pairing(z, x + y) == direct + pairing(z, y)
-        if z.depth >= max(1, x.exp):
-            applicable += 1
-            ok = ok and duality_check(z, x)
+            if z.depth >= 1:
+                applicable += 1
+                ok = ok and duality_check(z, x, direct)
 
         if applicable == 0:
             skipped += 1

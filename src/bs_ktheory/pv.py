@@ -34,6 +34,7 @@ from .abelian import (
     _KernelData,
     _cokernel_ext,
     _kernel_ext,
+    _relations_snf,
     _unique_names,
     element_order,
     group_to_json,
@@ -158,16 +159,16 @@ class PvSolution(namedtuple("PvSolution", "k0_crossed k1_crossed ledger_out seq0
     seq1: SeqRecord
 
 
-class _Side(namedtuple("_Side", "coinv proj inv d ker note")):
+class _Side(namedtuple("_Side", "coinv proj inv d ker c")):
     """Coinvariants and invariants of Id - alpha_* in one degree, as data.
 
     ``proj`` holds the rows of the projection onto the coinvariants ``coinv``;
-    ``inv`` is the invariants, and ``note`` is the note on a class the
-    projection kills. A finitely generated side keeps ``d`` = Id - alpha_*
-    and its kernel data ``ker`` for the unit guard. A localized side has
-    ``d`` and ``ker`` None: the unit guard never reads them there, since a
-    unital ``alpha0`` on a localization has rung 1, which ``_loc_side``
-    rejects first.
+    ``inv`` is the invariants. A finitely generated side keeps ``d`` =
+    Id - alpha_* and its kernel data ``ker`` for the unit guard, and has
+    ``c`` None. A localized side keeps the multiplier ``c`` = 1 - rung for
+    the note on a class it kills, and has ``d`` and ``ker`` None: the unit
+    guard never reads them there, since a unital ``alpha0`` on a
+    localization has rung 1, which ``_loc_side`` rejects first.
     """
 
     __slots__ = ()
@@ -177,14 +178,14 @@ class _Side(namedtuple("_Side", "coinv proj inv d ker note")):
     inv: FgAbGroup
     d: GroupHom | None
     ker: _KernelData | None
-    note: str
+    c: int | None
 
 
 def _fg_side(group: FgAbGroup, alpha: GroupHom) -> _Side:
     d = GroupHom(group, group, identity_minus(alpha.matrix))
-    coker = _cokernel_ext(d)
-    ker = _kernel_ext(d)
-    return _Side(coker.group, coker.proj, ker.group, d, ker, "killed by the coinvariants projection")
+    ext = _relations_snf(d)  # one Smith form for both
+    coker, ker = _cokernel_ext(d, ext), _kernel_ext(d, ext)
+    return _Side(coker.group, coker.proj, ker.group, d, ker, None)
 
 
 def _push(side: _Side, vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -192,15 +193,18 @@ def _push(side: _Side, vec: tuple[int, ...]) -> tuple[int, ...]:
     return side.coinv.reduce([sum(x * y for x, y in zip(row, vec)) for row in side.proj])
 
 
-def _digits(c: int) -> str:
-    """The decimal digits of ``c``, also past the interpreter's limit on
-    int-to-str conversion, which a solve must not fail on."""
+def _killed_note(side: _Side) -> str:
+    """The note on a class the side's projection kills. A multiplier is
+    written once, also past the interpreter's limit on int-to-str
+    conversion, which a solve must not fail on."""
+    if side.c is None:
+        return "killed by the coinvariants projection"
     try:
-        return str(c)
+        digits = str(side.c)
     except ValueError:
         from decimal import Decimal  # converts without that limit
-
-        return str(Decimal(c))
+        digits = str(Decimal(side.c))
+    return f"order divides {digits.lstrip('-')} (coinvariants of multiplication by {digits})"
 
 
 def _loc_side(obj: LocObject, alpha: LadderMap, degree: int) -> _Side:
@@ -232,8 +236,7 @@ def _loc_side(obj: LocObject, alpha: LadderMap, degree: int) -> _Side:
     if not (isinstance(staged_kernel, FgAbGroup) and staged_kernel.is_trivial):
         raise InvariantViolation("staged kernel of Id - alpha on a localization is not trivial")
 
-    note = f"order divides {_digits(abs(c))} (coinvariants of multiplication by {_digits(c)})"
-    return _Side(coinv, proj, FgAbGroup.trivial(), None, None, note)
+    return _Side(coinv, proj, FgAbGroup.trivial(), None, None, c)
 
 
 def _make_side(k: AbObject, alpha: SelfMap, degree: int) -> _Side:
@@ -345,7 +348,7 @@ def pv_solve(kinput: KInput, apply_boundary_rule: bool = True) -> PvSolution:
         else:
             side, seq, location = crossed[entry.location]
             vec = _in_middle(seq, _push(side, entry.vector), seq.quotient.zero())
-            note = side.note if (not any(vec) and any(entry.vector)) else ""
+            note = _killed_note(side) if (not any(vec) and any(entry.vector)) else ""
             entry = KClass(location, vec, element_order(seq.middle, vec), note)
         out[symbol] = entry
 

@@ -121,16 +121,17 @@ def dual_shift(z: SolenoidPoint) -> SolenoidPoint:
     return z._replace(depth=z.depth - 1)
 
 
-def duality_check(z: SolenoidPoint, x: NadicRational) -> bool:
+def duality_check(z: SolenoidPoint, x: NadicRational, direct: RationalAngle | None = None) -> bool:
     """Exact check that the shift intertwines the pairing with
     multiplication by n: pairing(shift(z), n*x) == pairing(z, x).
 
     Equivalently pairing(shift(z), y) == pairing(z, y/n); the shift is dual
-    to the automorphism the crossed product is built from.
+    to the automorphism the crossed product is built from. ``direct``, if
+    given, is pairing(z, x), already computed by the caller.
     """
     if z.depth < 1 or z.depth < x.exp:
         raise DepthExceeded(f"duality at level {x.exp} needs depth >= {max(1, x.exp)}")
-    return pairing(dual_shift(z), x.times_base()) == pairing(z, x)
+    return pairing(dual_shift(z), x.times_base()) == (pairing(z, x) if direct is None else direct)
 
 
 def random_point(n: int, depth: int, seed: int) -> SolenoidPoint:

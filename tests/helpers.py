@@ -63,7 +63,7 @@ from bs_ktheory.colimit import (
 )
 from bs_ktheory.errors import DepthExceeded, InvariantViolation, StabilizationOverflow, UnresolvedExtension
 from bs_ktheory.ledger import KClass, KClassLedger
-from bs_ktheory.pv import KInput, PvSolution, SelfMap, SeqRecord, _audit, _digits, boundary_rule
+from bs_ktheory.pv import KInput, PvSolution, SelfMap, SeqRecord, _audit, boundary_rule
 from bs_ktheory.presentation import Presentation, Word, _abelianization_ext
 from bs_ktheory.solenoid import NadicRational
 
@@ -713,6 +713,17 @@ def _fg_side(group: FgAbGroup, alpha: GroupHom) -> _Side:
     )
 
 
+def _digits(c: int) -> str:
+    """The decimal digits of ``c``, also past the interpreter's limit on
+    int-to-str conversion, which a solve must not fail on."""
+    try:
+        return str(c)
+    except ValueError:
+        from decimal import Decimal  # converts without that limit
+
+        return str(Decimal(c))
+
+
 def _loc_side(obj: LocObject, alpha: LadderMap, degree: int) -> _Side:
     loc = obj.loc
     r = alpha.rung.matrix.at(0, 0)
@@ -953,7 +964,9 @@ def reference_dual_shift(z: ReferencePoint) -> ReferencePoint:
     return ReferencePoint(z.n, z.coords[1:])
 
 
-def reference_duality_check(z: ReferencePoint, x: NadicRational) -> bool:
+def reference_duality_check(z: ReferencePoint, x: NadicRational, direct=None) -> bool:
+    """Takes the library's ``direct`` argument and ignores it: pairing(z, x)
+    is recomputed here, so a wrong value passed in shows as a mismatch."""
     if z.depth < 1 or z.depth < x.exp:
         raise DepthExceeded(f"duality at level {x.exp} needs depth >= {max(1, x.exp)}")
     return reference_pairing(reference_dual_shift(z), x.times_base()) == reference_pairing(z, x)

@@ -319,6 +319,42 @@ class TestGroups:
             GroupHom(z2, z4, IntMatrix.from_rows([[1]]))
         GroupHom(z2, z4, IntMatrix.from_rows([[2]]))  # fine
 
+    def test_hom_torsion_check_matches_the_product(self):
+        """d x = 0 mod t is tested as x = 0 mod t / gcd(d, t), and x = 0 on a
+        free row: it accepts exactly the maps whose products vanish."""
+        rng = random.Random(68)
+        outcomes = set()
+        for _ in range(400):
+            source, target = random_group(rng, max_order=24), random_group(rng, max_order=24)
+            entry = lambda: rng.choice((0, rng.randint(-30, 30)))
+            rows = [[entry() for _ in range(source.gen_count)] for _ in range(target.gen_count)]
+            m = IntMatrix.from_rows(rows, cols=source.gen_count)
+            defined = not any(
+                any(target.reduce([d * x for x in m.col(source.free_rank + j)])) for j, d in enumerate(source.torsion)
+            )
+            try:
+                GroupHom(source, target, m)
+            except ValueError as err:
+                assert not defined and str(err).startswith("not well-defined on torsion"), (source, target, m)
+            else:
+                assert defined, (source, target, m)
+            outcomes.add(defined)
+        assert outcomes == {True, False}
+
+    def test_hom_torsion_check_past_64000_digits(self):
+        """On 64,000-digit torsion an ill-defined map is still rejected with
+        the same error, and well-defined ones are accepted."""
+        t = 10**64000
+        z2, big = FgAbGroup(0, (2,), ("s",)), FgAbGroup(0, (2 * t,), ("t",))
+        message = "^not well-defined on torsion: generator of order 2 maps to an element not killed by 2$"
+        with pytest.raises(ValueError, match=message):
+            GroupHom(z2, big, IntMatrix(1, 1, (t + 1,)))
+        with pytest.raises(ValueError):
+            GroupHom(big, FgAbGroup(0, (4 * t,), ("u",)), IntMatrix(1, 1, (1,)))
+        GroupHom(z2, big, IntMatrix(1, 1, (t,)))
+        GroupHom(big, big, IntMatrix(1, 1, (3 * t - 7,)))
+        GroupHom(big, FgAbGroup(0, (4 * t,), ("u",)), IntMatrix(1, 1, (2,)))
+
     def test_json_roundtrip(self):
         g = FgAbGroup(1, (2, 6), ("a", "b", "c"))
         assert group_from_json(group_to_json(g), "group") == g

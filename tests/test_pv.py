@@ -1,12 +1,16 @@
+import json
 import math
 import random
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from bs_ktheory import pv
 from bs_ktheory.abelian import FgAbGroup, GroupHom, IntMatrix, element_order, is_isomorphic
 from bs_ktheory.colimit import LadderMap, LocalizedInt, LocObject
+from bs_ktheory.cli import main
 from bs_ktheory.errors import DomainError, UnresolvedExtension
 from bs_ktheory.ledger import KClass, KClassLedger
 from bs_ktheory.pv import (
@@ -343,6 +347,25 @@ class TestPastTheDigitLimit:
         assert sol.ledger_out["[b]"].note == (
             f"order divides {ten_to_4300} (coinvariants of multiplication by {ten_to_4300})"
         )
+
+
+class TestKilledNote:
+    @pytest.mark.parametrize(
+        "n, notes",
+        [(5, []), (2, ["order divides 1 (coinvariants of multiplication by -1)"])],
+    )
+    def test_formatted_only_for_a_killed_class(self, n, notes, monkeypatch, capsys):
+        """The note is formatted where a ledger entry is killed, and nowhere
+        else: bs 5 kills no class, bs 2 kills [b] (on Z[1/2], 1 - 2 = -1 is a
+        unit). The output is the recorded one."""
+        formatted = []
+        note = pv._killed_note
+        monkeypatch.setattr(pv, "_killed_note", lambda side: formatted.append(note(side)) or formatted[-1])
+        assert main(["bs", str(n)]) == 0
+        golden = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text())
+        assert capsys.readouterr().out == next(c["stdout"] for c in golden if c["argv"] == ["bs", str(n)])
+        assert formatted == notes
+        assert pv_solve(bs_input(n)).ledger_out["[b]"].note == "".join(notes)
 
 
 class TestLedgerScaling:

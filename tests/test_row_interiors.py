@@ -92,11 +92,64 @@ class TestMatchesRecordBased:
             assert group_order_multiset(cokernel) == ladder_cokernel_oracle(g, bond, rung)
 
 
+def shared_path_maps():
+    """Seeded maps for the solver's shared path: free sources of rank 0 to 8,
+    finite sources, and sources with free and torsion parts."""
+    rng = random.Random(67)
+    for rank in range(9):
+        for _ in range(15):
+            yield random_hom(rng, source=FgAbGroup.free(rank), target=random_group(rng, max_free=3))
+    for _ in range(60):
+        yield random_hom(rng, source=random_finite_group(rng))
+    for _ in range(60):
+        source = random_group(rng)
+        if source.torsion:
+            yield random_hom(rng, source=source)
+
+
+class TestSharedSmithForm:
+    """``pv._fg_side`` reads the kernel and the cokernel of one map off one
+    ``_relations_snf`` call; both must equal the record-based references
+    field for field, and the calls that take their own Smith forms."""
+
+    def test_matches_references(self):
+        for h in shared_path_maps():
+            ext = abelian._relations_snf(h)
+            coker, ker = abelian._cokernel_ext(h, ext), abelian._kernel_ext(h, ext)
+            ref_coker, ref_ker = reference_cokernel_ext(h), reference_kernel_ext(h)
+            assert coker.group == ref_coker.group, h  # a group's equality takes in its names
+            assert projection(coker, h.target) == ref_coker.projection, h
+            assert [list(lift) for lift in coker.lifts] == columns(ref_coker.section), h
+            assert ker.group == ref_ker.group, h
+            assert ker.gens == [tuple(col) for col in columns(ref_ker.inclusion.matrix)], h
+            assert ker.inclusion == ref_ker.inclusion, h
+            assert abelian._cokernel_ext(h) == coker, h
+            assert abelian._kernel_ext(h) == ker, h
+
+    def test_smith_forms_taken(self, monkeypatch):
+        """A kernel on a free source takes one Smith form, a source with
+        torsion three, and the shared pair of kernel and cokernel one."""
+        calls = []
+        snf = abelian._snf_ext
+        monkeypatch.setattr(abelian, "_snf_ext", lambda a, track: calls.append(track) or snf(a, track))
+        for h in shared_path_maps():
+            calls.clear()
+            abelian._kernel_ext(h)
+            assert len(calls) == (3 if h.source.torsion else 1), h
+            calls.clear()
+            ext = abelian._relations_snf(h)
+            abelian._cokernel_ext(h, ext)
+            abelian._kernel_ext(h, ext)
+            assert len(calls) == (3 if h.source.torsion else 1), h
+
+
 class TestRecordBudget:
     def test_grid_records_and_smith_forms(self, monkeypatch):
-        """Over n in [-64, 64] minus {0, 1}, bc_compare keeps every Smith form
-        (2,280, one traced span each) and builds at most 110 records a call,
-        counted as perfbench/spans.py counts them."""
+        """Over n in [-64, 64] minus {0, 1}, bc_compare runs 1,390 Smith forms
+        (one traced span each) and builds at most 110 records a call, counted
+        as perfbench/spans.py counts them. A kernel on a free source reads its
+        group off the first Smith form, and the solver's kernel and cokernel
+        of Id - alpha share one: 2,280 before either."""
         counts = {"records": 0, "snf": 0}
 
         def counted(fn, key):
@@ -118,5 +171,5 @@ class TestRecordBudget:
 
         for n in GRID:
             assert bc.bc_compare(n).verdict
-        assert counts["snf"] == 2280
+        assert counts["snf"] == 1390
         assert counts["records"] / len(GRID) <= 110

@@ -193,6 +193,24 @@ class TestDuality:
         with pytest.raises(DepthExceeded):
             duality_check(z, NadicRational(2, 1, 0))
 
+    def test_given_direct_value(self):
+        """A caller's pairing(z, x) stands in for the check's own: the right
+        value gives the same verdict, and a wrong one fails the check."""
+        z, x = random_point(3, 4, seed=7), NadicRational(3, 5, 2)
+        direct = pairing(z, x)
+        assert duality_check(z, x, direct) and duality_check(z, x)
+        assert not duality_check(z, x, direct + RationalAngle(1, 2))
+
+    def test_run_pair_pairs_each_value_once(self, monkeypatch):
+        """``bsk pair --n 3 --depth 20 --trials 20`` calls pairing 80 times:
+        the duality check reuses the pairing(z, x) the first check computed."""
+        calls = []
+        original = solenoid.pairing
+        monkeypatch.setattr(solenoid, "pairing", lambda z, x: calls.append(x) or original(z, x))
+        counts = cli._run_pair(Namespace(n=3, depth=20, seed=0, trials=20))[1]
+        assert (counts["passed"], counts["failed"], counts["skipped"]) == (20, 0, 0)
+        assert len(calls) == 80
+
     def test_cost_does_not_grow_with_depth(self):
         """A point of depth 10^9 is three numbers, and each level is one
         modular power, so building it and checking duality at its deepest
