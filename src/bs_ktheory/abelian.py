@@ -165,9 +165,14 @@ class SnfDecomposition(namedtuple("SnfDecomposition", "diag u_rows vt uit")):
         return IntMatrix(rows, cols, tuple(entries))
 
 
-@lru_cache(maxsize=64)
-def _identity_tuple(n: int) -> tuple[tuple[int, ...], ...]:
+@lru_cache(maxsize=None)
+def _cached_identity(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _identity_tuple(n: int) -> tuple[tuple[int, ...], ...]:
+    # sizes up to 32 stay cached (about 120 KB in all); a wider matrix's is not kept
+    return _cached_identity(n) if n <= 32 else _cached_identity.__wrapped__(n)
 
 
 def _snf_ext(a: IntMatrix, track: Sequence[str]) -> SnfDecomposition:
@@ -533,13 +538,6 @@ def _cokernel_ext(h: GroupHom, ext: SnfDecomposition | None = None) -> _Cokernel
     return _CokernelData(group, proj, [ext.uit[i] for i in kept])
 
 
-def integer_kernel_basis(a: IntMatrix) -> list[tuple[int, ...]]:
-    """A lattice basis of {x : a x = 0} over the integers."""
-    ext = _snf_ext(a, ("vt",))
-    free_idx, _ = _split_diag(ext.diag, a.cols)
-    return [tuple(ext.vt[j]) for j in free_idx]
-
-
 class _KernelData(namedtuple("_KernelData", "group source gens")):
     __slots__ = ()
 
@@ -552,23 +550,19 @@ class _KernelData(namedtuple("_KernelData", "group source gens")):
 
 def _kernel_ext(h: GroupHom, ext: SnfDecomposition | None = None) -> _KernelData:
     n = h.source.gen_count
-    # preimage lattice of the target relation lattice
+    # preimage lattice of the target relation lattice, cut to the source: its
+    # vectors are independent, as the relation columns are
     ext = ext or _relations_snf(h, ("vt",))
     gens = [tuple(ext.vt[j][:n]) for j in _split_diag(ext.diag, len(ext.vt))[0]]
     torsion = ()
-    # relations among the cut vectors come from source relations alone: the
-    # vectors are independent, as the relation columns are
-    if h.source.torsion:
-        generators, k = gens, len(gens)
-        b_rows = [[g[i] for g in generators] for i in range(n)]
-        rel_gens = [vec[:k] for vec in integer_kernel_basis(_with_relations(b_rows, k, h.source))]
-        ext = _snf_ext(_from_cols(rel_gens, k), ("uit",))
-        free_idx, tors_idx = _split_diag(ext.diag, k)
-        gens = [
-            tuple(sum(c * g[i] for c, g in zip(ext.uit[j], generators)) for i in range(n))
-            for j in (*free_idx, *tors_idx)
-        ]
-        torsion = tuple(ext.diag[i] for i in tors_idx)
+    # with source torsion the kernel is the image of b: Z^k -> source, generator
+    # j to cut vector j; it is 0 when every cut vector is, else Z^k / ker(b)
+    if h.source.torsion and not any(any(h.source.reduce(g)) for g in gens):
+        gens = []
+    elif h.source.torsion:
+        b = GroupHom(FgAbGroup.free(len(gens)), h.source, _from_cols(gens, n))
+        image = _cokernel_ext(_kernel_ext(b).inclusion)
+        gens, torsion = [b.matrix.apply(lift) for lift in image.lifts], image.group.torsion
     group = FgAbGroup(len(gens) - len(torsion), torsion, _dominant_names(gens, h.source.gen_names, ""))
     return _KernelData(group, h.source, gens)
 

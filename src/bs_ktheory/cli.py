@@ -175,24 +175,19 @@ def _run_pair(args):
         m = rng.randint(-50, 50)
         x = NadicRational(args.n, m, exp)
         y = NadicRational(args.n, rng.randint(-50, 50), rng.randint(0, max_exp))
-        applicable = 0
-        ok = True
-
-        if x.exp <= z.depth:
-            applicable += 1
-            direct = pairing(z, x)
-            if x.exp + 1 <= z.depth:
-                ok = pairing_raw(z, x.m * args.n, x.exp + 1) == direct
-            if y.exp <= z.depth:
-                applicable += 1
-                ok = ok and pairing(z, x + y) == direct + pairing(z, y)
-            if z.depth >= 1:
-                applicable += 1
-                ok = ok and duality_check(z, x, direct)
-
-        if applicable == 0:
+        if x.exp > z.depth:
             skipped += 1
-        elif ok:
+            continue
+
+        direct = pairing(z, x)
+        ok = True
+        if x.exp + 1 <= z.depth:
+            ok = pairing_raw(z, x.m * args.n, x.exp + 1) == direct
+        if y.exp <= z.depth:
+            ok = ok and pairing(z, x + y) == direct + pairing(z, y)
+        if z.depth >= 1:
+            ok = ok and duality_check(z, x, direct)
+        if ok:
             passed += 1
         else:
             failed += 1

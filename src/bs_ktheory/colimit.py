@@ -155,7 +155,7 @@ def _stable_kernel(c: ColimModule) -> _KernelData:
     with the digits of the stabilization bound, not with the bound.
     """
     k = _kernel_ext(c.bond)
-    if not any(any(c.stage.reduce(g)) for g in k.gens):
+    if k.group.is_trivial:
         return k  # s = 0: the bond is injective
     bound = _stabilization_bound(c.stage)
 

@@ -1,3 +1,4 @@
+import gc
 import random
 import time
 import tracemalloc
@@ -305,6 +306,21 @@ class TestClassifyingSpaceK:
             entry = ledger[f"a{i}"]
             assert entry.vector == k1.reduce([row[i] for row in rows])
             assert entry.order == (2 if i == 1 else float("inf"))
+
+    def test_six_hundred_generators_leave_little_behind(self):
+        """The identities a wide Smith form starts from are not kept after it."""
+        m = 600
+        p = parse(f"<{','.join(f'a{i}' for i in range(m))} | a0 a1 a0^-1 a1^-3>")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = classifying_space_k(p)
+            del result
+            gc.collect()
+            left, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert left < 500_000
 
 
 class TestBsPresentation:

@@ -64,11 +64,14 @@ class TestMatchesRecordBased:
                 assert abelian.solve(h, y) == reference_solve(h, y), (h, y)
 
     def test_integer_kernel_basis(self):
+        """A kernel between free groups is the lattice basis of {x : a x = 0}."""
         rng = random.Random(64)
         for _ in range(200):
             r, c = rng.randint(0, 4), rng.randint(0, 5)
             a = IntMatrix.from_rows([[rng.randint(-4, 4) for _ in range(c)] for _ in range(r)], cols=c)
-            assert abelian.integer_kernel_basis(a) == reference_integer_kernel_basis(a), a
+            k = abelian._kernel_ext(GroupHom(FgAbGroup.free(c), FgAbGroup.free(r), a))
+            assert k.group == FgAbGroup.free(len(k.gens), k.group.gen_names), a
+            assert k.gens == reference_integer_kernel_basis(a), a
 
     def test_stable_kernel(self):
         rng = random.Random(65)
@@ -127,29 +130,37 @@ class TestSharedSmithForm:
             assert abelian._kernel_ext(h) == ker, h
 
     def test_smith_forms_taken(self, monkeypatch):
-        """A kernel on a free source takes one Smith form, a source with
-        torsion three, and the shared pair of kernel and cokernel one."""
+        """A kernel takes one Smith form when its source is free or it is
+        trivial, and three otherwise (the kernel of its lift, then that
+        kernel's cokernel); the shared pair of kernel and cokernel takes the
+        same. The inputs hold both kinds of kernel on a source with torsion."""
         calls = []
         snf = abelian._snf_ext
         monkeypatch.setattr(abelian, "_snf_ext", lambda a, track: calls.append(track) or snf(a, track))
+        kinds = {1: 0, 3: 0}
         for h in shared_path_maps():
+            expected = 3 if h.source.torsion and not reference_kernel_ext(h).group.is_trivial else 1
+            kinds[expected] += bool(h.source.torsion)
             calls.clear()
             abelian._kernel_ext(h)
-            assert len(calls) == (3 if h.source.torsion else 1), h
+            assert len(calls) == expected, h
             calls.clear()
             ext = abelian._relations_snf(h)
             abelian._cokernel_ext(h, ext)
             abelian._kernel_ext(h, ext)
-            assert len(calls) == (3 if h.source.torsion else 1), h
+            assert len(calls) == expected, h
+        assert kinds == {1: 11, 3: 91}
 
 
 class TestRecordBudget:
     def test_grid_records_and_smith_forms(self, monkeypatch):
-        """Over n in [-64, 64] minus {0, 1}, bc_compare runs 1,390 Smith forms
+        """Over n in [-64, 64] minus {0, 1}, bc_compare runs 1,140 Smith forms
         (one traced span each) and builds at most 110 records a call, counted
         as perfbench/spans.py counts them. A kernel on a free source reads its
         group off the first Smith form, and the solver's kernel and cokernel
-        of Id - alpha share one: 2,280 before either."""
+        of Id - alpha share one: 2,280 before either. A trivial kernel on a
+        source with torsion is settled at the first Smith form too, as the
+        injective bond of every normalized Z/|1 - n| is: 1,390 before that."""
         counts = {"records": 0, "snf": 0}
 
         def counted(fn, key):
@@ -171,5 +182,5 @@ class TestRecordBudget:
 
         for n in GRID:
             assert bc.bc_compare(n).verdict
-        assert counts["snf"] == 1390
+        assert counts["snf"] == 1140
         assert counts["records"] / len(GRID) <= 110
