@@ -609,9 +609,12 @@ def solve(h: GroupHom, target_vec: Sequence[int]) -> tuple[int, ...] | None:
 
 
 def generates(g: FgAbGroup, vec: Sequence[int]) -> bool:
-    """Does the cyclic subgroup generated by ``vec`` equal all of g?"""
-    ext = _snf_ext(_with_relations([[x] for x in g.reduce(vec)], 1, g), ())
-    return not any(_split_diag(ext.diag, g.gen_count))
+    """Does the cyclic subgroup generated by ``vec`` equal all of g? A normal
+    form is cyclic exactly when it has at most one generator."""
+    v = g.reduce(vec)
+    if g.gen_count != 1:
+        return g.gen_count == 0
+    return abs(v[0]) == 1 if g.free_rank else math.gcd(v[0], g.torsion[0]) == 1
 
 
 # ---------------------------------------------------------------------------

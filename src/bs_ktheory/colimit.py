@@ -20,6 +20,7 @@ from .abelian import (
     FgAbGroup,
     GroupHom,
     IntMatrix,
+    SnfDecomposition,
     _CokernelData,
     _KernelData,
     _cokernel_ext,
@@ -132,7 +133,12 @@ class LadderMap(_checked_namedtuple("LadderMap", "source target rung")):
     def __new__(cls, source: ColimModule, target: ColimModule, rung: GroupHom):
         if rung.source != source.stage or rung.target != target.stage:
             raise ValueError("rung endpoints must match the stage groups")
-        if _product(rung.matrix, source.bond.matrix) != _product(target.bond.matrix, rung.matrix):
+        r, s, t = rung.matrix, source.bond.matrix, target.bond.matrix
+        if r.rows == r.cols == 1:  # r s = t r exactly when r (s - t) = 0: no product needed
+            commutes = r.entries[0] == 0 or s == t
+        else:
+            commutes = _product(r, s) == _product(t, r)
+        if not commutes:
             raise ValueError("rung does not commute with the bonds")
         return tuple.__new__(cls, (source, target, rung))
 
@@ -154,6 +160,8 @@ def _stable_kernel(c: ColimModule) -> _KernelData:
     doubling and then bisecting, with powers by squaring: the cost grows
     with the digits of the stabilization bound, not with the bound.
     """
+    if c.stage.is_trivial:
+        return _KernelData(c.stage, c.stage, [])
     k = _kernel_ext(c.bond)
     if k.group.is_trivial:
         return k  # s = 0: the bond is injective
@@ -237,24 +245,24 @@ def normalize(c: ColimModule) -> AbObject:
     )
 
 
-def ladder_kernel(m: LadderMap) -> AbObject:
+def ladder_kernel(m: LadderMap, ext: SnfDecomposition | None = None) -> AbObject:
     """Kernel of the colimit map, computed stage-wise and normalized.
 
     Filtered colimits are exact, so the kernel colimit is the colimit of the
-    stage kernels with the restricted bond.
+    stage kernels with the restricted bond; ``ext`` is the rung's ``_relations_snf``.
     """
-    k = _kernel_ext(m.rung)
+    k = _kernel_ext(m.rung, ext)
     return normalize(ColimModule(k.group, _induced_on_subgroup(m.source.bond, k)))
 
 
-def ladder_cokernel(m: LadderMap) -> AbObject:
+def ladder_cokernel(m: LadderMap, ext: SnfDecomposition | None = None) -> AbObject:
     """Cokernel of the colimit map, computed stage-wise and normalized.
 
     For a rung of multiplication by c on Z[1/n] this realizes the closed
     form Z/c' with c' = coprime_part(c, n): the staged quotient Z/|c| with
-    the bond acting as multiplication by n collapses the n-primary part.
+    the bond acting as multiplication by n collapses the n-primary part. ``ext`` is as in ``ladder_kernel``.
     """
-    data = _cokernel_ext(m.rung)
+    data = _cokernel_ext(m.rung, ext)
     q = data.group
     induced = IntMatrix.from_rows(_induced_on_quotient(m.target.bond, data), cols=q.gen_count)
     return normalize(ColimModule(q, GroupHom(q, q, induced)))

@@ -229,10 +229,11 @@ def _loc_side(obj: LocObject, alpha: LadderMap, degree: int) -> _Side:
         alpha.target,
         GroupHom(alpha.source.stage, alpha.target.stage, IntMatrix(1, 1, (c,))),
     )
-    staged = ladder_cokernel(d_ladder)
+    ext = _relations_snf(d_ladder.rung)  # one Smith form for both
+    staged = ladder_cokernel(d_ladder, ext)
     if not (isinstance(staged, FgAbGroup) and is_isomorphic(staged, coinv)):
         raise InvariantViolation("staged cokernel disagrees with the coprime-part closed form")
-    staged_kernel = ladder_kernel(d_ladder)
+    staged_kernel = ladder_kernel(d_ladder, ext)
     if not (isinstance(staged_kernel, FgAbGroup) and staged_kernel.is_trivial):
         raise InvariantViolation("staged kernel of Id - alpha on a localization is not trivial")
 

@@ -12,8 +12,9 @@ column steps taken one quotient at a time, which it must match field for
 field;
 and, entry for entry, the earlier record-based kernel, cokernel, ``solve``
 and stable kernel, which built an ``IntMatrix`` for every intermediate
-step; the earlier six-term solver, which kept each side and each extension
-as closures; the earlier solenoid, which kept one ``Fraction`` angle per
+step; the earlier ``generates``, which took a Smith form of the vector and
+the relations; the earlier six-term solver, which kept each side and each
+extension as closures; the earlier solenoid, which kept one ``Fraction`` angle per
 level of a point; and the earlier canonical form of ``NadicRational``,
 which removed one factor of n at a time.
 """
@@ -43,6 +44,7 @@ from bs_ktheory.abelian import (
     _snf_ext,
     _split_diag,
     _unique_names,
+    _with_relations,
     element_order,
     group_to_json,
     identity_minus,
@@ -662,6 +664,13 @@ def reference_solve(h: GroupHom, target_vec: Sequence[int]) -> tuple[int, ...] |
                 return None
     x_full = ext.v.apply(w)
     return tuple(x_full[: h.source.gen_count])
+
+
+def reference_generates(g: FgAbGroup, vec: Sequence[int]) -> bool:
+    """Does ``vec`` generate g? Read off the Smith form of [vec | relations]:
+    it does exactly when no coordinate is left free or torsion."""
+    ext = _snf_ext(_with_relations([[x] for x in g.reduce(vec)], 1, g), ())
+    return not any(_split_diag(ext.diag, g.gen_count))
 
 
 def reference_stable_kernel(c: ColimModule) -> tuple[FgAbGroup, GroupHom]:

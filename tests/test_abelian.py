@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -27,10 +28,13 @@ from helpers import (
     is_zero,
     kernel,
     minors_invariant_factors,
+    random_finite_group,
     random_group,
     random_hom,
+    reference_generates,
     reference_pair_snf_ext,
     reference_snf_ext,
+    subgroup_span,
 )
 
 Z = FgAbGroup.free(1, ("x",))
@@ -537,3 +541,39 @@ class TestSolveAndGenerates:
         g = FgAbGroup(0, (2, 6))
         assert not generates(g, (1, 1))  # Z/2 + Z/6 is not cyclic
         assert generates(FgAbGroup(0, (6,)), (5,))
+
+    def test_generates_matches_the_smith_form(self):
+        """``generates`` reads the normal form, the reference the Smith form
+        of [vec | relations]; on a finite group both must also agree with
+        the span of vec. The fixed groups are the trivial group, Z, Z^2,
+        Z + Z/d, cyclic groups and two-step chains."""
+        rng = random.Random(707)
+        fixed = [FgAbGroup.trivial(), Z, FgAbGroup.free(2), FgAbGroup(1, (6,)), FgAbGroup(0, (7,))]
+        fixed += [FgAbGroup(0, (12,)), FgAbGroup(0, (2, 4)), FgAbGroup(0, (3, 6)), FgAbGroup(1, (2, 10))]
+        groups = fixed * 20 + [random_group(rng) for _ in range(400)] + [random_finite_group(rng) for _ in range(400)]
+        outcomes = Counter()
+        for g in groups:
+            n = g.gen_count
+            vecs = [g.zero(), *(tuple(s * (j == i) for j in range(n)) for i in range(n) for s in (1, -1))]
+            vecs += [tuple(rng.randint(-12, 12) for _ in range(n)) for _ in range(2)]
+            if n == 1 and g.torsion:  # a unit and a non-unit mod d, off [0, d)
+                d = g.torsion[0]
+                for want in (True, False):
+                    x = rng.choice([x for x in range(d) if (math.gcd(x, d) == 1) == want])
+                    vecs.append((x + d * rng.choice([-2, -1, 1, 2]),))
+            for vec in vecs:
+                got = generates(g, vec)
+                assert got == reference_generates(g, vec), (g, vec)
+                if not g.free_rank:
+                    assert got == (len(subgroup_span(g, [g.reduce(vec)])) == g.order()), (g, vec)
+                outcomes[min(n, 2), bool(g.torsion), got] += 1
+        assert sum(outcomes.values()) >= 2000
+        # both answers on one generator, only "yes" on none, only "no" on two or more
+        assert {key for key in outcomes if key[0] == 1} == {(1, t, a) for t in (False, True) for a in (False, True)}
+        assert {key[2] for key in outcomes if key[0] == 0} == {True}
+        assert {key[2] for key in outcomes if key[0] == 2} == {False}
+        for fn in (generates, reference_generates):
+            with pytest.raises(ValueError, match="vector length does not match generator count"):
+                fn(Z, (1, 0))
+            with pytest.raises(ValueError, match="vector coordinates must be Python ints"):
+                fn(Z, (1.0,))

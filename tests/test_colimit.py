@@ -1,8 +1,11 @@
+import math
 import random
 
 import pytest
 
-from bs_ktheory.abelian import FgAbGroup, GroupHom, IntMatrix, is_isomorphic
+from bs_ktheory import colimit
+from bs_ktheory.abelian import FgAbGroup, GroupHom, IntMatrix, _product, is_isomorphic
+from bs_ktheory.bc import bc_compare
 from bs_ktheory.colimit import (
     ColimModule,
     LadderMap,
@@ -154,6 +157,52 @@ class TestLadderValidation:
         c3 = scalar_colim(3)
         with pytest.raises(ValueError):
             LadderMap(c2, c3, GroupHom(Z, Z, IntMatrix(1, 1, (1,))))
+
+    def test_one_by_one_check_matches_the_products(self):
+        """A 1x1 rung r is accepted without a product, exactly when r = 0 or
+        the bonds s and t are equal: that is r s = t r, checked here by the
+        products, on stages Z and Z/d and on 64,000-digit entries."""
+        rng = random.Random(808)
+        huge = 10**64000
+        seen = set()
+        for trial in range(600):
+            stages = [Z if rng.random() < 0.5 else FgAbGroup(0, (rng.randint(2, 9),), ("v",)) for _ in range(2)]
+            big = huge if trial % 100 == 0 else 1
+            s = big * rng.randint(-3, 3) + rng.randint(-3, 3)
+            t = s if rng.random() < 0.3 else big * rng.randint(-3, 3) + rng.randint(-3, 3)
+            source, target = (ColimModule(g, GroupHom(g, g, IntMatrix(1, 1, (b,)))) for g, b in zip(stages, (s, t)))
+            # a rung well-defined on torsion: Z/d -> Z is 0, Z/d -> Z/e a multiple of e / gcd(d, e)
+            step = 1
+            if source.stage.torsion:
+                e = target.stage.torsion[0] if target.stage.torsion else 0
+                step = e // math.gcd(source.stage.torsion[0], e)
+            r = 0 if rng.random() < 0.2 else step * (big * rng.randint(-3, 3) + rng.randint(1, 3))
+            rung = GroupHom(source.stage, target.stage, IntMatrix(1, 1, (r,)))
+            commutes = _product(rung.matrix, source.bond.matrix) == _product(target.bond.matrix, rung.matrix)
+            try:
+                LadderMap(source, target, rung)
+                accepted = True
+            except ValueError as err:
+                assert str(err) == "rung does not commute with the bonds"
+                accepted = False
+            assert accepted == commutes, (s, t, r)
+            seen.add((r == 0, s == t, accepted, big > 1))
+        assert {(r0, same, r0 or same) for r0 in (False, True) for same in (False, True)} <= {x[:3] for x in seen}
+        assert {(False, False, False, True), (False, True, True, True)} <= seen
+
+    def test_bc_compare_forms_no_product(self, monkeypatch):
+        """Every rung ``bc_compare`` checks is 1x1, so no product is formed;
+        a 2x2 rung still takes both, through the same counter."""
+        calls = []
+        product = colimit._product
+        monkeypatch.setattr(colimit, "_product", lambda a, b: calls.append(1) or product(a, b))
+        for n in [n for n in range(-64, 65) if n not in (0, 1)] + [10**64000 + 7]:
+            assert bc_compare(n).verdict
+        assert calls == []
+        g = FgAbGroup.free(2)
+        c = ColimModule(g, GroupHom(g, g, IntMatrix.from_rows([[2, 1], [0, 3]])))
+        LadderMap(c, c, GroupHom.identity(g))
+        assert len(calls) == 2
 
     def test_unsupported_shape_propagates(self):
         g = FgAbGroup.free(2)

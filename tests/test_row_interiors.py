@@ -8,7 +8,7 @@ records and Smith forms one two-sided comparison costs.
 import random
 import sys
 
-from bs_ktheory import abelian, bc, colimit
+from bs_ktheory import abelian, bc, colimit, pv
 from bs_ktheory.abelian import FgAbGroup, GroupHom, IntMatrix
 from bs_ktheory.colimit import ColimModule, LadderMap, ladder_cokernel, ladder_kernel
 from helpers import (
@@ -80,6 +80,9 @@ class TestMatchesRecordBased:
             c = ColimModule(g, random_selfmap(rng, g))
             k = colimit._stable_kernel(c)
             assert (k.group, k.inclusion) == reference_stable_kernel(c), c
+        # a stage with no generators is settled before any Smith form, as it was by one
+        empty = ColimModule(FgAbGroup.trivial(), GroupHom.identity(FgAbGroup.trivial()))
+        assert colimit._stable_kernel(empty) == abelian._kernel_ext(empty.bond)
 
     def test_ladders_match_oracles(self):
         rng = random.Random(66)
@@ -152,15 +155,29 @@ class TestSharedSmithForm:
         assert kinds == {1: 11, 3: 91}
 
 
+def patch_snf(monkeypatch, wrapped) -> None:
+    """Put ``wrapped`` in place of ``_snf_ext`` in every package namespace."""
+    snf = abelian._snf_ext
+    for name, module in list(sys.modules.items()):
+        if name == "bs_ktheory" or name.startswith("bs_ktheory."):
+            for key, value in list(vars(module).items()):
+                if value is snf:
+                    monkeypatch.setattr(module, key, wrapped)
+
+
 class TestRecordBudget:
     def test_grid_records_and_smith_forms(self, monkeypatch):
-        """Over n in [-64, 64] minus {0, 1}, bc_compare runs 1,140 Smith forms
-        (one traced span each) and builds at most 110 records a call, counted
-        as perfbench/spans.py counts them. A kernel on a free source reads its
-        group off the first Smith form, and the solver's kernel and cokernel
-        of Id - alpha share one: 2,280 before either. A trivial kernel on a
-        source with torsion is settled at the first Smith form too, as the
-        injective bond of every normalized Z/|1 - n| is: 1,390 before that."""
+        """Over n in [-64, 64] minus {0, 1}, bc_compare runs 633 Smith forms
+        (one traced span each), at most 5 a call and 4 at n = -1 and n = 2,
+        and builds at most 110 records a call, counted as perfbench/spans.py
+        counts them. A kernel on a free source reads its group off the first
+        Smith form, and the solver's kernel and cokernel of Id - alpha share
+        one: 2,280 before either. A trivial kernel on a source with torsion
+        is settled at the first Smith form too, as the injective bond of
+        every normalized Z/|1 - n| is: 1,390 before that. ``generates``
+        reads the normal form, the staged kernel and cokernel of Id - alpha
+        on Z[1/n] share one, and an empty stage's kernel takes none: 1,140
+        before those."""
         counts = {"records": 0, "snf": 0}
 
         def counted(fn, key):
@@ -172,15 +189,39 @@ class TestRecordBudget:
 
         for cls in (IntMatrix, FgAbGroup, GroupHom):
             monkeypatch.setattr(cls, "__post_init__", counted(cls.__dict__["__post_init__"], "records"))
-        snf = abelian._snf_ext
-        wrapped = counted(snf, "snf")
-        for name, module in list(sys.modules.items()):
-            if name == "bs_ktheory" or name.startswith("bs_ktheory."):
-                for key, value in list(vars(module).items()):
-                    if value is snf:
-                        monkeypatch.setattr(module, key, wrapped)
+        patch_snf(monkeypatch, counted(abelian._snf_ext, "snf"))
 
+        per_call = {}
         for n in GRID:
+            before = counts["snf"]
             assert bc.bc_compare(n).verdict
-        assert counts["snf"] == 1140
+            per_call[n] = counts["snf"] - before
+        assert counts["snf"] == 633
+        assert {n: k for n, k in per_call.items() if k != 5} == {-1: 4, 2: 4}
         assert counts["records"] / len(GRID) <= 110
+
+    def test_staged_pair_shares_one_smith_form(self, monkeypatch):
+        """Outside normalize, _loc_side runs one Smith form, shared by its
+        staged kernel and cokernel, and normalize on the staged kernel, a
+        stage with no generators, runs none."""
+        calls, normalized = [], []
+        snf, normalize = abelian._snf_ext, colimit.normalize
+
+        def counted_normalize(c):
+            before = len(calls)
+            result = normalize(c)
+            normalized.append((c.stage, len(calls) - before))
+            del calls[before:]
+            return result
+
+        patch_snf(monkeypatch, lambda a, track: calls.append(a) or snf(a, track))
+        monkeypatch.setattr(colimit, "normalize", counted_normalize)
+        for n in GRID:
+            if abs(n) < 2:
+                continue
+            kinput = pv.bs_input(n)
+            calls.clear()
+            normalized.clear()
+            pv._loc_side(kinput.k1, kinput.alpha1, 1)
+            assert len(calls) == 1, n
+            assert normalized[-1] == (FgAbGroup.trivial(), 0), n
