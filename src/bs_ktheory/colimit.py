@@ -48,6 +48,8 @@ class LocalizedInt(_checked_namedtuple("LocalizedInt", "n symbol")):
     __slots__ = ()
 
     def __new__(cls, n: int, symbol: str = "v"):
+        if type(n) is not int or type(symbol) is not str:
+            raise ValueError("a localization takes a Python int n and a str symbol")
         if n == 0:
             raise ValueError("cannot invert 0")
         return tuple.__new__(cls, (n, symbol))
@@ -162,6 +164,10 @@ def _stable_kernel(c: ColimModule) -> _KernelData:
     """
     if c.stage.is_trivial:
         return _KernelData(c.stage, c.stage, [])
+    if c.stage.gen_count == 1:  # b is injective on Z when b != 0, on Z/d when gcd(b, d) = 1
+        b, torsion = c.bond.matrix.entries[0], c.stage.torsion
+        if (math.gcd(b, torsion[0]) == 1) if torsion else b:
+            return _KernelData(FgAbGroup.trivial(), c.stage, [])
     k = _kernel_ext(c.bond)
     if k.group.is_trivial:
         return k  # s = 0: the bond is injective
@@ -230,9 +236,10 @@ def normalize(c: ColimModule) -> AbObject:
     if r == 0:
         return quotient
 
-    # the bond is invertible over Z exactly when its Smith form is all units
+    # the bond is invertible over Z exactly when its Smith form is all units,
+    # which at rank 1 is when it is +-1
     free_block = [row[:r] for row in bond[:r]]
-    if _snf_ext(IntMatrix.from_rows(free_block), ()).diag.count(1) == r:
+    if (abs(free_block[0][0]) == 1) if r == 1 else _snf_ext(IntMatrix.from_rows(free_block), ()).diag.count(1) == r:
         return quotient
 
     torsion_part = FgAbGroup(0, quotient.torsion, quotient.gen_names[r:])
@@ -252,6 +259,8 @@ def ladder_kernel(m: LadderMap, ext: SnfDecomposition | None = None) -> AbObject
     stage kernels with the restricted bond; ``ext`` is the rung's ``_relations_snf``.
     """
     k = _kernel_ext(m.rung, ext)
+    if k.group.is_trivial:
+        return k.group
     return normalize(ColimModule(k.group, _induced_on_subgroup(m.source.bond, k)))
 
 
@@ -264,6 +273,8 @@ def ladder_cokernel(m: LadderMap, ext: SnfDecomposition | None = None) -> AbObje
     """
     data = _cokernel_ext(m.rung, ext)
     q = data.group
+    if q.is_trivial:
+        return q
     induced = IntMatrix.from_rows(_induced_on_quotient(m.target.bond, data), cols=q.gen_count)
     return normalize(ColimModule(q, GroupHom(q, q, induced)))
 

@@ -93,6 +93,13 @@ def _cases() -> list[dict]:
         argv = ["pair", "--n", str(n), "--depth", "10000", "--seed", str(seed), "--trials", "20"]
         cases.append({"argv": argv})
         cases.append({"argv": ["--json", *argv]})
+    # rungs r other than n: the staged cokernel Z/|1 - r| of the first four is
+    # not injective under the bond n, so its stable kernel takes the general
+    # path; the last is injective and gives K1 = Z + Z/2
+    for n, r in ((6, 3), (4, -1), (10, 5), (12, -3), (3, -1)):
+        rung = kinput_to_json(bs_input(n))
+        rung["alpha1"] = {"rung": r}
+        cases.append({"argv": ["pv", "{dir}/in.json"], "files": {"in.json": json.dumps(rung)}})
     return cases
 
 

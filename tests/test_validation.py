@@ -3,6 +3,7 @@ own message; every case here is reached by no other test."""
 
 import math
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -128,6 +129,12 @@ class TestAbelianRecords:
 
 
 class TestColimitRecords:
+    @pytest.mark.parametrize("n, symbol", [(2.0, "v"), (True, "v"), (Fraction(2), "v"), ("2", "v"), (2, 5)])
+    def test_localization_takes_an_int_and_a_str(self, n, symbol):
+        # 2.0 == 2 would otherwise pass the solver's bond check, then fail in math.gcd
+        with raises("a localization takes a Python int n and a str symbol"):
+            LocalizedInt(n, symbol)
+
     def test_coprime_part_of_zero(self):
         with raises("coprime_part of 0 is undefined"):
             coprime_part(0, 6)
