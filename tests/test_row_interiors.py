@@ -167,18 +167,19 @@ def patch_snf(monkeypatch, wrapped) -> None:
 
 class TestRecordBudget:
     def test_grid_records_and_smith_forms(self, monkeypatch):
-        """Over n in [-64, 64] minus {0, 1}, bc_compare runs 508 Smith forms
-        (one traced span each), 4 at every n, and builds at most 110 records a call, counted as perfbench/spans.py
-        counts them. A kernel on a free source reads its group off the first
-        Smith form, and the solver's kernel and cokernel of Id - alpha share
-        one: 2,280 before either. A trivial kernel on a source with torsion
-        is settled at the first Smith form too, as the injective bond of
-        every normalized Z/|1 - n| is: 1,390 before that. ``generates``
-        reads the normal form, the staged kernel and cokernel of Id - alpha
-        on Z[1/n] share one, and an empty stage's kernel takes none: 1,140
-        before those. A one-generator bond's injectivity is a gcd, a rank-1
-        bond's invertibility is |b| = 1, and a trivial stage kernel or
-        cokernel is returned as it is: 633, at most 5 a call, before those."""
+        """Over n in [-64, 64] minus {0, 1}, bc_compare runs 508 Smith forms (one
+        traced span each), 4 at every n, and builds at most 110 records a
+        call, counted as perfbench/spans.py counts them. A kernel on a free
+        source reads its group off the first Smith form, and the solver's
+        kernel and cokernel of Id - alpha share one: 2,280 before either. A
+        trivial kernel on a source with torsion is settled at the first Smith
+        form too, as the injective bond of every normalized Z/|1 - n| is:
+        1,390 before that. ``generates`` reads the normal form, the staged
+        kernel and cokernel of Id - alpha on Z[1/n] share one, and an empty
+        stage's kernel takes none: 1,140 before those. A one-generator bond's
+        injectivity is a gcd, a rank-1 bond's invertibility is |b| = 1, and a
+        trivial stage kernel or cokernel is returned as it is: 633, at most 5
+        a call, before those."""
         counts = {"records": 0, "snf": 0}
 
         def counted(fn, key):
