@@ -39,10 +39,10 @@ from typing import NamedTuple, Sequence
 from bs_ktheory import abelian
 from bs_ktheory.abelian import (
     QUOTIENT_TAG,
-    SnfDecomposition,
     FgAbGroup,
     GroupHom,
     IntMatrix,
+    SnfDecomposition,
     _cokernel_ext,
     _dominant_names,
     _kernel_ext,
