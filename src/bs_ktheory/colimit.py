@@ -164,10 +164,8 @@ def _stable_kernel(c: ColimModule) -> _KernelData:
     """
     if c.stage.is_trivial:
         return _KernelData(c.stage, c.stage, [])
-    if c.stage.gen_count == 1:  # b is injective on Z when b != 0, on Z/d when gcd(b, d) = 1
-        b, torsion = c.bond.matrix.entries[0], c.stage.torsion
-        if (math.gcd(b, torsion[0]) == 1) if torsion else b:
-            return _KernelData(FgAbGroup.trivial(), c.stage, [])
+    if c.stage.gen_count == 1 and c.stage.torsion and math.gcd(c.bond.matrix.entries[0], c.stage.torsion[0]) == 1:
+        return _KernelData(FgAbGroup.trivial(), c.stage, [])  # b is injective on Z/d when gcd(b, d) = 1
     k = _kernel_ext(c.bond)
     if k.group.is_trivial:
         return k  # s = 0: the bond is injective
@@ -236,10 +234,9 @@ def normalize(c: ColimModule) -> AbObject:
     if r == 0:
         return quotient
 
-    # the bond is invertible over Z exactly when its Smith form is all units,
-    # which at rank 1 is when it is +-1
+    # the bond is invertible over Z exactly when its Smith form is all units
     free_block = [row[:r] for row in bond[:r]]
-    if (abs(free_block[0][0]) == 1) if r == 1 else _snf_ext(IntMatrix.from_rows(free_block), ()).diag.count(1) == r:
+    if _snf_ext(IntMatrix.from_rows(free_block), ()).diag.count(1) == r:
         return quotient
 
     torsion_part = FgAbGroup(0, quotient.torsion, quotient.gen_names[r:])

@@ -12,10 +12,7 @@ column steps taken one quotient at a time, which it must match field for
 field;
 and, entry for entry, the earlier record-based kernel, cokernel, ``solve``
 and stable kernel, which built an ``IntMatrix`` for every intermediate
-step; the earlier stable kernel, ``normalize`` and ladder kernel and
-cokernel, which decided a one-generator bond's injectivity and a rank-1
-bond's invertibility by a Smith form and normalized a trivial stage kernel
-or cokernel; the earlier ``generates``, which took a Smith form of the vector and
+step; the earlier ``generates``, which took a Smith form of the vector and
 the relations; the earlier six-term solver, which kept each side and each
 extension as closures; the earlier solenoid, which kept one ``Fraction`` angle per
 level of a point; and the earlier canonical form of ``NadicRational``,
@@ -36,13 +33,11 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from bs_ktheory import abelian
 from bs_ktheory.abelian import (
     QUOTIENT_TAG,
     FgAbGroup,
     GroupHom,
     IntMatrix,
-    SnfDecomposition,
     _cokernel_ext,
     _dominant_names,
     _kernel_ext,
@@ -62,21 +57,13 @@ from bs_ktheory.colimit import (
     LadderMap,
     LocalizedInt,
     LocObject,
-    _induced_on_quotient,
-    _induced_on_subgroup,
     _stabilization_bound,
     ab_to_json,
     coprime_part,
     ladder_cokernel,
     ladder_kernel,
 )
-from bs_ktheory.errors import (
-    DepthExceeded,
-    InvariantViolation,
-    StabilizationOverflow,
-    UnresolvedExtension,
-    UnsupportedColimitShape,
-)
+from bs_ktheory.errors import DepthExceeded, InvariantViolation, StabilizationOverflow, UnresolvedExtension
 from bs_ktheory.ledger import KClass, KClassLedger
 from bs_ktheory.pv import KInput, PvSolution, SelfMap, SeqRecord, _audit, boundary_rule
 from bs_ktheory.presentation import Presentation, Word, _abelianization_ext
@@ -703,86 +690,6 @@ def reference_stable_kernel(c: ColimModule) -> tuple[FgAbGroup, GroupHom]:
 
 
 # ---------------------------------------------------------------------------
-# the staged colimit with a Smith form for every decision: the library's
-# stable kernel, normalize and ladder kernel and cokernel must return the same
-# value, or raise the same error, on every input. Copied from the library as
-# it was, with the prefix smith_ added to each name.
-
-
-def smith_stable_kernel(c: ColimModule) -> abelian._KernelData:
-    if c.stage.is_trivial:
-        return abelian._KernelData(c.stage, c.stage, [])
-    k = _kernel_ext(c.bond)
-    if k.group.is_trivial:
-        return k  # s = 0: the bond is injective
-    bound = _stabilization_bound(c.stage)
-
-    def power(e: int) -> IntMatrix:
-        result, square = IntMatrix.identity(c.stage.gen_count), c.bond.matrix
-        while e:
-            if e & 1:
-                result = square @ result
-            square, e = square @ square, e >> 1
-        return result
-
-    def kernel_if_stopped(i: int):
-        prev = power(i)
-        k = _kernel_ext(GroupHom(c.stage, c.stage, c.bond.matrix @ prev))
-        return None if any(any(c.stage.reduce(prev.apply(g))) for g in k.gens) else k
-
-    lo, hi, found = 0, None, None  # the chain stops at hi and not at lo
-    while hi is None or hi - lo > 1:
-        if hi is None and lo >= bound:
-            raise StabilizationOverflow(f"kernel chain of the bond did not stabilize within {bound} steps")
-        mid = min(2 * lo + 1, bound) if hi is None else (lo + hi) // 2
-        k = kernel_if_stopped(mid)
-        if k is None:
-            lo = mid
-        else:
-            hi, found = mid, k
-    return found
-
-
-def smith_normalize(c: ColimModule) -> AbObject:
-    k_inf = smith_stable_kernel(c)
-    if k_inf.group.is_trivial:
-        quotient, bond = c.stage, c.bond.matrix.to_rows()
-    else:
-        data = _cokernel_ext(k_inf.inclusion)
-        quotient, bond = data.group, _induced_on_quotient(c.bond, data)
-
-    r = quotient.free_rank
-    if r == 0:
-        return quotient
-
-    # the bond is invertible over Z exactly when its Smith form is all units
-    free_block = [row[:r] for row in bond[:r]]
-    if _snf_ext(IntMatrix.from_rows(free_block), ()).diag.count(1) == r:
-        return quotient
-
-    torsion_part = FgAbGroup(0, quotient.torsion, quotient.gen_names[r:])
-    if r == 1:
-        return LocObject(LocalizedInt(free_block[0][0], quotient.gen_names[0]), torsion_part)
-
-    raise UnsupportedColimitShape(
-        "free rank >= 2 with a non-invertible bond: the colimit is a sum of "
-        "localizations, which this representation does not express"
-    )
-
-
-def smith_ladder_kernel(m: LadderMap, ext: SnfDecomposition | None = None) -> AbObject:
-    k = _kernel_ext(m.rung, ext)
-    return smith_normalize(ColimModule(k.group, _induced_on_subgroup(m.source.bond, k)))
-
-
-def smith_ladder_cokernel(m: LadderMap, ext: SnfDecomposition | None = None) -> AbObject:
-    data = _cokernel_ext(m.rung, ext)
-    q = data.group
-    induced = IntMatrix.from_rows(_induced_on_quotient(m.target.bond, data), cols=q.gen_count)
-    return smith_normalize(ColimModule(q, GroupHom(q, q, induced)))
-
-
-# ---------------------------------------------------------------------------
 # the closure-based six-term solver: the library's solver on plain data must
 # give the same solution, or raise the same error, on every input. Copied
 # from the library as it was, with pv_solve renamed reference_pv_solve.
@@ -1226,3 +1133,32 @@ def polynomial_in(b: GroupHom, coeffs) -> GroupHom:
         )
         power = b.matrix @ power
     return GroupHom(g, g, acc)
+
+
+BIG = 10**30
+
+
+def one_generator_stage(rng, small_only=False) -> tuple[FgAbGroup, int, int]:
+    """Z/d with d small or, unless small_only, Z (d = 0) or Z/d with d
+    10^30-sized; with d and a divisor g > 1 of d."""
+    g = rng.randint(2, 6)
+    d = g * rng.randint(1, 10)
+    if not small_only:
+        d = rng.choice((0, d, g * BIG))
+    return (FgAbGroup.free(1) if d == 0 else FgAbGroup(0, (d,))), d, g
+
+
+def one_generator_entry(rng, d: int, g: int) -> int:
+    """0, +-1, a multiple of d, a multiple of g (gcd with d above 1), or any
+    entry, small or 10^30-sized."""
+    k = rng.choice((rng.randint(-6, 6), rng.randint(-BIG, BIG)))
+    return rng.choice((0, 1, -1, d * k, g * k, k, BIG * k + rng.choice((1, -1))))
+
+
+def one_by_one(source: FgAbGroup, target: FgAbGroup, e: int) -> GroupHom:
+    return GroupHom(source, target, IntMatrix(1, 1, (e,)))
+
+
+def one_generator_colimit(rng) -> ColimModule:
+    stage, d, g = one_generator_stage(rng)
+    return ColimModule(stage, one_by_one(stage, stage, one_generator_entry(rng, d, g)))

@@ -15,6 +15,10 @@ from helpers import (
     group_order_multiset,
     ladder_cokernel_oracle,
     ladder_kernel_oracle,
+    one_by_one,
+    one_generator_colimit,
+    one_generator_entry,
+    one_generator_stage,
     polynomial_in,
     projection,
     random_finite_group,
@@ -83,14 +87,33 @@ class TestMatchesRecordBased:
         # a stage with no generators is settled before any Smith form, as it was by one
         empty = ColimModule(FgAbGroup.trivial(), GroupHom.identity(FgAbGroup.trivial()))
         assert colimit._stable_kernel(empty) == abelian._kernel_ext(empty.bond)
+        # Z and Z/d, d small or 10^30-sized, with bonds 0, +-1, multiples of d
+        # or of a divisor of d, and 10^30-sized entries: an injective bond on
+        # Z/d is settled by a gcd, with the kernel one Smith form gave
+        injective = 0
+        for _ in range(1500):
+            c = one_generator_colimit(rng)
+            k = colimit._stable_kernel(c)
+            assert (k.group, k.inclusion) == reference_stable_kernel(c), c
+            if k.group.is_trivial:
+                assert k == abelian._kernel_ext(c.bond), c
+                injective += bool(c.stage.torsion)
+        assert injective >= 300, injective
 
     def test_ladders_match_oracles(self):
         rng = random.Random(66)
+        cases = []
         for _ in range(60):
             g = random_finite_group(rng)
             bond = random_selfmap(rng, g)
+            cases.append((g, bond, polynomial_in(bond, [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])))
+        # 1x1 bonds and rungs on Z/d: 0, +-1, multiples of d or of a divisor
+        # of d, and 10^30-sized entries; many stage kernels and cokernels are trivial
+        for _ in range(300):
+            g, d, p = one_generator_stage(rng, small_only=True)
+            cases.append((g, *(one_by_one(g, g, one_generator_entry(rng, d, p)) for _ in range(2))))
+        for g, bond, rung in cases:
             c = ColimModule(g, bond)
-            rung = polynomial_in(bond, [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
             m = LadderMap(c, c, rung)
             kernel, cokernel = ladder_kernel(m), ladder_cokernel(m)
             assert isinstance(kernel, FgAbGroup) and isinstance(cokernel, FgAbGroup)

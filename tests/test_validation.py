@@ -9,7 +9,7 @@ import pytest
 
 from bs_ktheory.abelian import FgAbGroup, GroupHom, IntMatrix, solve
 from bs_ktheory.cli import main
-from bs_ktheory.colimit import ColimModule, LadderMap, LocalizedInt, LocObject, coprime_part
+from bs_ktheory.colimit import ColimModule, LadderMap, LocalizedInt, LocObject, coprime_part, normalize
 from bs_ktheory.ledger import KClass, KClassLedger
 from bs_ktheory.presentation import ComplexHomology, Presentation, Word, bs_presentation, presentation_homology
 from bs_ktheory.pv import KInput, bs_input
@@ -134,6 +134,12 @@ class TestColimitRecords:
         # 2.0 == 2 would otherwise pass the solver's bond check, then fail in math.gcd
         with raises("a localization takes a Python int n and a str symbol"):
             LocalizedInt(n, symbol)
+
+    def test_localized_colimit_needs_a_str_generator_name(self):
+        # the free generator's name becomes the localization's symbol
+        stage = FgAbGroup.free(1, (0,))
+        with raises("a localization takes a Python int n and a str symbol"):
+            normalize(ColimModule(stage, GroupHom(stage, stage, IntMatrix(1, 1, (2,)))))
 
     def test_coprime_part_of_zero(self):
         with raises("coprime_part of 0 is undefined"):
