@@ -487,13 +487,22 @@ def _dominant_names(
 
 
 def _unique_names(candidates: Sequence[str]) -> tuple[str, ...]:
-    """The names in order; a repeat gets its occurrence number as a suffix."""
+    """The names in order; a repeat takes the least suffix, from its occurrence
+    number on, that no candidate and no earlier name uses."""
+    taken = set(candidates)
+    if len(taken) == len(candidates):
+        return tuple(candidates)
     seen: dict[str, int] = {}
     out = []
     for name in candidates:
         count = seen.get(name, 0)
         seen[name] = count + 1
-        out.append(name if count == 0 else f"{name}{count + 1}")
+        if count:
+            while f"{name}{count + 1}" in taken:
+                count += 1
+            name = f"{name}{count + 1}"
+            taken.add(name)
+        out.append(name)
     return tuple(out)
 
 

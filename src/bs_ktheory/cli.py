@@ -32,7 +32,7 @@ def _argv_int(text: str) -> int:
             return int(text)
         except ValueError:  # past the interpreter's int-to-str digit limit
             pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    raise argparse.ArgumentTypeError(f"invalid int value: {reprlib.repr(text)}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -156,19 +156,15 @@ def _stabilization_bound(g: FgAbGroup) -> int:
 
 
 def _stable_kernel(c: ColimModule) -> _KernelData:
-    """ker(bond^(s+1)) for the least s with ker(bond^(s+1)) = ker(bond^s).
+    """ker(bond^(s+1)) for the least s >= 1 with ker(bond^(s+1)) = ker(bond^s);
+    an injective bond gives ker(bond^2) = 0.
 
-    That equality holds for every i >= s and for no i < s, so s is found by
-    doubling and then bisecting, with powers by squaring: the cost grows
-    with the digits of the stabilization bound, not with the bound.
+    That equality holds for every i >= s and for no 1 <= i < s, so s is
+    found by doubling and then bisecting, with powers by squaring: the cost
+    grows with the digits of the stabilization bound, not with the bound.
     """
-    if c.stage.is_trivial:
-        return _KernelData(c.stage, c.stage, [])
     if c.stage.gen_count == 1 and c.stage.torsion and math.gcd(c.bond.matrix.entries[0], c.stage.torsion[0]) == 1:
         return _KernelData(FgAbGroup.trivial(), c.stage, [])  # b is injective on Z/d when gcd(b, d) = 1
-    k = _kernel_ext(c.bond)
-    if k.group.is_trivial:
-        return k  # s = 0: the bond is injective
     bound = _stabilization_bound(c.stage)
 
     def power(e: int) -> IntMatrix:

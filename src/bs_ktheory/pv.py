@@ -388,7 +388,7 @@ def bs_input(n: int) -> KInput:
 # JSON forms
 
 
-def _selfmap_to_json(k: AbObject, alpha: SelfMap) -> dict:
+def _selfmap_to_json(alpha: SelfMap) -> dict:
     if isinstance(alpha, GroupHom):
         return {"matrix": alpha.matrix.to_rows()}
     return {"rung": alpha.rung.matrix.at(0, 0)}
@@ -413,8 +413,8 @@ def kinput_to_json(kinput: KInput) -> dict:
     return {
         "k0": ab_to_json(kinput.k0),
         "k1": ab_to_json(kinput.k1),
-        "alpha0": _selfmap_to_json(kinput.k0, kinput.alpha0),
-        "alpha1": _selfmap_to_json(kinput.k1, kinput.alpha1),
+        "alpha0": _selfmap_to_json(kinput.alpha0),
+        "alpha1": _selfmap_to_json(kinput.alpha1),
         "ledger": ledger_to_json(kinput.ledger),
     }
 

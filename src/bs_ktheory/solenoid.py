@@ -24,6 +24,8 @@ class RationalAngle(_checked_namedtuple("RationalAngle", "p q")):
     __slots__ = ()
 
     def __new__(cls, p: int, q: int):
+        if type(p) is not int or type(q) is not int:
+            raise ValueError("an angle takes Python ints p and q")
         if q <= 0:
             raise ValueError("the denominator must be positive")
         p %= q
@@ -45,6 +47,8 @@ class SolenoidPoint(_checked_namedtuple("SolenoidPoint", "n depth deepest")):
     __slots__ = ()
 
     def __new__(cls, n: int, depth: int, deepest: tuple[int, int]):
+        if type(n) is not int or type(depth) is not int:
+            raise ValueError("a solenoid point takes Python ints n and depth")
         if n == 0:
             raise ValueError("the solenoid parameter must be nonzero")
         if depth < 0:
@@ -58,6 +62,8 @@ class NadicRational(_checked_namedtuple("NadicRational", "n m exp")):
     __slots__ = ()
 
     def __new__(cls, n: int, m: int, exp: int):
+        if type(n) is not int or type(m) is not int or type(exp) is not int:
+            raise ValueError("an n-adic rational takes Python ints n, m and exp")
         if n == 0:
             raise ValueError("the inverted base must be nonzero")
         if exp < 0:

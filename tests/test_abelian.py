@@ -11,6 +11,7 @@ from bs_ktheory.abelian import (
     GroupHom,
     IntMatrix,
     _snf_ext,
+    _unique_names,
     element_order,
     generates,
     group_from_json,
@@ -577,3 +578,45 @@ class TestSolveAndGenerates:
                 fn(Z, (1, 0))
             with pytest.raises(ValueError, match="vector coordinates must be Python ints"):
                 fn(Z, (1.0,))
+
+
+def occurrence_suffixes(candidates):
+    """The earlier naming rule: the k-th repeat of a name gets suffix k, taken or not."""
+    seen = Counter()
+    out = []
+    for name in candidates:
+        seen[name] += 1
+        out.append(name if seen[name] == 1 else f"{name}{seen[name]}")
+    return tuple(out)
+
+
+class TestUniqueNames:
+    def test_declared_name_like_a_suffixed_one(self):
+        assert occurrence_suffixes(["a", "a", "a2"]) == ("a", "a2", "a2")
+        assert _unique_names(["a", "a", "a2"]) == ("a", "a3", "a2")
+        assert _unique_names(["a", "a2", "a", "a", "a3"]) == ("a", "a2", "a4", "a5", "a3")
+
+    def test_unique_and_unchanged_where_the_earlier_rule_was_unique(self):
+        rng = random.Random(489)
+        pool = ["a", "a2", "a3", "a22", "b", "b2", "q0", "q02"]
+        clashes = 0
+        for _ in range(3000):
+            candidates = [rng.choice(pool) for _ in range(rng.randint(0, 9))]
+            got, earlier = _unique_names(candidates), occurrence_suffixes(candidates)
+            assert len(set(got)) == len(got) == len(candidates), candidates
+            # a repeat takes the least suffix, from its occurrence number on, not yet taken
+            seen, taken = Counter(), set(candidates)
+            for name, out in zip(candidates, got):
+                seen[name] += 1
+                if seen[name] > 1:
+                    suffix = int(out[len(name) :])
+                    assert out.startswith(name) and suffix >= seen[name], candidates
+                    assert all(f"{name}{i}" in taken for i in range(seen[name], suffix)), candidates
+                    taken.add(out)
+            if len(set(earlier)) == len(earlier):
+                assert got == earlier, candidates
+            else:
+                clashes += 1
+            if len(set(candidates)) == len(candidates):
+                assert got == tuple(candidates), candidates
+        assert clashes >= 300, clashes

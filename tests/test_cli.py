@@ -2,6 +2,7 @@ import json
 import os
 import random
 import re
+import reprlib
 import subprocess
 import sys
 import time
@@ -92,11 +93,37 @@ class TestArgvIntegers:
         assert self.rejected(capsys, *argv(value)) == expected
         assert expected.endswith(f"argument {option}: invalid int value: {value!r}\n")
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit before Python 3.11")
+    @pytest.mark.parametrize("digits", [4301, 100_000])
+    @pytest.mark.parametrize("argv", [["bs"], ["pair", "--n"]], ids=["bs", "pair"])
+    def test_past_the_digit_limit(self, capsys, argv, digits):
+        """ASCII digits past the interpreter's 4,300-digit limit are rejected
+        too, and the value is quoted shortened: one line under 1 KB."""
+        value = "7" * digits
+        err = self.rejected(capsys, *argv, value)
+        assert err == self.rejected(capsys, *argv, "abc").replace("'abc'", reprlib.repr(value))
+        assert len(err.splitlines()[-1].encode()) < 1024, len(err)
+
     def test_ascii_integers_still_read(self, capsys):
         code, out, _ = run(capsys, "bs", "--", "-3")
         assert code == 0 and "parameter n = -3" in out
         code, out, _ = run(capsys, "--json", "pair", "--n=-3", "--depth=2", "--seed=007", "--trials=5")
         assert code == 0 and json.loads(out)["seed"] == 7
+
+
+@pytest.mark.parametrize("command, group", [("homology", "h1"), ("khom", "k1")])
+def test_declared_name_like_a_derived_one(capsys, command, group):
+    """Derived names skip a declared ``a2``: the presentation computes as it
+    does with ``c`` in its place, where it once exited 2 on a repeated name."""
+    code, out, err = run(capsys, "--json", command, "<a,b,a2 | a^-2 b^-2>")
+    assert code == 0, err
+    code, renamed, err = run(capsys, "--json", command, "<a,b,c | a^-2 b^-2>")
+    assert code == 0, err
+    got, want = json.loads(out), json.loads(renamed)
+    assert got[group]["gens"] == ["a", "a2", "a3"]
+    assert (got[group]["free_rank"], got[group]["torsion"]) == (want[group]["free_rank"], want[group]["torsion"]) == (2, [2])
+    if command == "khom":
+        assert {("c" if k == "a2" else k): v for k, v in got["ledger"].items()} == want["ledger"]
 
 
 # coinvariants Z + Z/4 under a free quotient Z/2 on the other side: exit 4

@@ -362,6 +362,9 @@ class TestLocalizedInt:
         assert localized_eq(LocalizedInt(6), LocalizedInt(12))
         assert localized_eq(LocalizedInt(-1), LocalizedInt(1))
 
+    def test_str(self):
+        assert (str(LocalizedInt(6)), str(LocalizedInt(-1, "w"))) == ("Z[1/6]", "Z[1/-1]")
+
     def test_degenerate(self):
         assert LocalizedInt(-1).is_degenerate
         assert LocalizedInt(-1).as_group() == FgAbGroup.free(1, ("v",))

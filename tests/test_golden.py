@@ -100,6 +100,9 @@ def _cases() -> list[dict]:
         rung = kinput_to_json(bs_input(n))
         rung["alpha1"] = {"rung": r}
         cases.append({"argv": ["pv", "{dir}/in.json"], "files": {"in.json": json.dumps(rung)}})
+    # a declared generator named like a derived one: a2 beside a repeated a
+    for command in ("homology", "khom"):
+        cases.append({"argv": [command, "<a,b,a2 | a^-2 b^-2>"]})
     return cases
 
 

@@ -84,7 +84,8 @@ class TestMatchesRecordBased:
             c = ColimModule(g, random_selfmap(rng, g))
             k = colimit._stable_kernel(c)
             assert (k.group, k.inclusion) == reference_stable_kernel(c), c
-        # a stage with no generators is settled before any Smith form, as it was by one
+        # a stage with no generators is settled by the loop's first probe,
+        # ker(bond^2) = 0, as it was by the kernel of the bond
         empty = ColimModule(FgAbGroup.trivial(), GroupHom.identity(FgAbGroup.trivial()))
         assert colimit._stable_kernel(empty) == abelian._kernel_ext(empty.bond)
         # Z and Z/d, d small or 10^30-sized, with bonds 0, +-1, multiples of d
@@ -199,10 +200,9 @@ class TestRecordBudget:
         form too, as the injective bond of every normalized Z/|1 - n| is:
         1,390 before that. ``generates`` reads the normal form, the staged
         kernel and cokernel of Id - alpha on Z[1/n] share one, and an empty
-        stage's kernel takes none: 1,140 before those. A one-generator bond's
-        injectivity is a gcd, a rank-1 bond's invertibility is |b| = 1, and a
-        trivial stage kernel or cokernel is returned as it is: 633, at most 5
-        a call, before those."""
+        stage's kernel takes none: 1,140 before those. An injective bond on
+        Z/d is found by a gcd, and a trivial stage kernel or cokernel is
+        returned as it is: 633, at most 5 a call, before those."""
         counts = {"records": 0, "snf": 0}
 
         def counted(fn, key):
@@ -243,3 +243,20 @@ class TestRecordBudget:
             pv._loc_side(kinput.k1, kinput.alpha1, 1)
             assert len(calls) == 1, n
             assert [g.torsion for g in normalized] == ([(abs(1 - n),)] if n != 2 else []), n
+
+    def test_golden_staged_inputs(self, monkeypatch):
+        """pv_solve on the recorded inputs whose rung r is not n: the stable
+        kernel of a non-injective bond starts at ker(bond^2), with no probe of
+        ker(bond) before it (10/10/16/10/3 Smith forms with one)."""
+        calls = []
+        snf = abelian._snf_ext
+        patch_snf(monkeypatch, lambda a, track: calls.append(a) or snf(a, track))
+        taken = []
+        for n, r in ((6, 3), (4, -1), (10, 5), (12, -3), (3, -1)):
+            data = pv.kinput_to_json(pv.bs_input(n))
+            data["alpha1"] = {"rung": r}
+            kinput = pv.kinput_from_json(data)
+            calls.clear()
+            pv.pv_solve(kinput)
+            taken.append(len(calls))
+        assert taken == [7, 7, 13, 7, 3]

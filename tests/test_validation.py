@@ -194,6 +194,26 @@ class TestSolenoidRecords:
         with raises("point and element live over different bases"):
             pairing(random_point(2, 3, seed=1), NadicRational(3, 1, 1))
 
+    @pytest.mark.parametrize("bad", [2.0, True, Fraction(2), "2"], ids=repr)
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda v: RationalAngle(v, 3), "an angle takes Python ints p and q"),
+            (lambda v: RationalAngle(1, v), "an angle takes Python ints p and q"),
+            (lambda v: SolenoidPoint(v, 1, (1, 2)), "a solenoid point takes Python ints n and depth"),
+            (lambda v: SolenoidPoint(2, v, (1, 2)), "a solenoid point takes Python ints n and depth"),
+            (lambda v: SolenoidPoint(2, 1, (1, v)), "an angle takes Python ints p and q"),
+            (lambda v: random_point(2, v, seed=1), "a solenoid point takes Python ints n and depth"),
+            (lambda v: NadicRational(v, 4, 1), "an n-adic rational takes Python ints n, m and exp"),
+            (lambda v: NadicRational(2, v, 1), "an n-adic rational takes Python ints n, m and exp"),
+            (lambda v: NadicRational(2, 4, v), "an n-adic rational takes Python ints n, m and exp"),
+        ],
+        ids=["angle.p", "angle.q", "point.n", "point.depth", "point.deepest", "random_point.depth", "nadic.n", "nadic.m", "nadic.exp"],
+    )
+    def test_fields_are_python_ints(self, build, message, bad):
+        with raises(message):
+            build(bad)
+
 
 # one validated record of each kind, a field, and a value its constructor rejects
 REPLACEMENTS = [
