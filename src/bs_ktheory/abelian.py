@@ -69,16 +69,14 @@ class IntMatrix(_checked_namedtuple("IntMatrix", "rows cols entries")):
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        r = len(rows)
-        if r == 0:
-            return cls(0, cols or 0, ())
-        c = len(rows[0])
+        if cols is None:
+            cols = len(rows[0]) if rows else 0
         flat: list[int] = []
         for row in rows:
-            if len(row) != c:
-                raise ValueError("ragged rows")
+            if len(row) != cols:
+                raise ValueError("row length does not match the column count")
             flat.extend(row)
-        return cls(r, c, tuple(flat))
+        return cls(len(rows), cols, tuple(flat))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":

@@ -27,8 +27,12 @@ class KClass(_checked_namedtuple("KClass", "location vector order note")):
     def __new__(cls, location: str, vector: tuple[int, ...] | None, order: int | float | None, note: str = ""):
         if vector is not None:
             vector = tuple(vector)
+            if not {*map(type, vector)} <= {int}:
+                raise ValueError("class coordinates must be Python ints")
         if location not in LOCATIONS:
             raise ValueError(f"unknown ledger location {location!r}")
+        if type(note) is not str:
+            raise ValueError("a class note must be a str")
         return tuple.__new__(cls, (location, vector, order, note))
 
 

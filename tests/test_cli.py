@@ -741,6 +741,13 @@ class TestOutputContract:
         data = json.loads(target.read_text(encoding="utf-8"))
         assert data["verdict"] is True
 
+    def test_out_flag_writes_the_table(self, capsys, tmp_path):
+        target = tmp_path / "report.txt"
+        code, out, _ = run(capsys, "--out", str(target), "bs", "5")
+        assert code == 0
+        assert out == ""
+        assert target.read_text(encoding="utf-8") == run(capsys, "bs", "5")[1]
+
 
 class TestHugeExponentsInProcess:
     def test_bs_large_parameter(self):

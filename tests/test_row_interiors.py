@@ -12,7 +12,9 @@ from bs_ktheory import abelian, bc, colimit, pv
 from bs_ktheory.abelian import FgAbGroup, GroupHom, IntMatrix
 from bs_ktheory.colimit import ColimModule, LadderMap, ladder_cokernel, ladder_kernel
 from helpers import (
+    compose,
     group_order_multiset,
+    is_zero,
     ladder_cokernel_oracle,
     ladder_kernel_oracle,
     one_by_one,
@@ -247,7 +249,9 @@ class TestRecordBudget:
     def test_golden_staged_inputs(self, monkeypatch):
         """pv_solve on the recorded inputs whose rung r is not n: the stable
         kernel of a non-injective bond starts at ker(bond^2), with no probe of
-        ker(bond) before it (10/10/16/10/3 Smith forms with one)."""
+        ker(bond) before it (10/10/16/10/3 Smith forms with one), and stops at
+        the first power of two past the chain's length (7/7/13/7/3 when it
+        bisected back to the least one)."""
         calls = []
         snf = abelian._snf_ext
         patch_snf(monkeypatch, lambda a, track: calls.append(a) or snf(a, track))
@@ -259,4 +263,103 @@ class TestRecordBudget:
             calls.clear()
             pv.pv_solve(kinput)
             taken.append(len(calls))
-        assert taken == [7, 7, 13, 7, 3]
+        assert taken == [7, 7, 10, 7, 3]
+
+
+def chain_length(c: ColimModule) -> int:
+    """The least s with ker(bond^(s+1)) = ker(bond^s), by record-based kernels."""
+    prev, s = GroupHom.identity(c.stage), 0
+    while True:
+        power = compose(c.bond, prev)
+        if is_zero(compose(prev, reference_kernel_ext(power).inclusion)):
+            return s
+        prev, s = power, s + 1
+
+
+def long_chain_colimit(rng, length: int, multi: bool) -> ColimModule:
+    """A colimit whose kernel chain has between ``length`` - f and ``length``
+    steps, f <= min(6, length - 3). One generator: Z/p^length with bond p u, u
+    prime to p. Several: Z^(f+1) with ones above the diagonal and zeros on it
+    but m != 0 last, mixed by a unimodular change of basis; Z/p^j + Z/p^(length - f) with bond
+    p M, M invertible mod p, so its chain has length - f steps; and a random
+    block from the free part into the torsion."""
+    p = rng.choice((2, 3, 5))
+    units = [x for x in range(-7, 8) if x % p]
+    if not multi:
+        g = FgAbGroup(0, (p**length,))
+        return ColimModule(g, GroupHom(g, g, IntMatrix(1, 1, (p * rng.choice(units),))))
+    f = rng.randint(0, min(6, length - 3))
+    top = length - f
+    j = rng.randint(1, top)
+    g = FgAbGroup(f + 1, (p**j, p**top))
+    free = [[int(c == r + 1) for c in range(f + 1)] for r in range(f + 1)]
+    free[f][f] = rng.choice((-3, -2, -1, 1, 2, 3))
+    u_rows = [[int(r == c) for c in range(f + 1)] for r in range(f + 1)]
+    u_inv = [row[:] for row in u_rows]
+    for _ in range(2 * f):  # row i += k row h on U, column h -= k column i on U^-1
+        i, h = rng.sample(range(f + 1), 2)
+        k = rng.randint(-2, 2)
+        u_rows[i] = [a + k * b for a, b in zip(u_rows[i], u_rows[h])]
+        for row in u_inv:
+            row[h] -= k * row[i]
+    free = (IntMatrix.from_rows(u_rows) @ IntMatrix.from_rows(free) @ IntMatrix.from_rows(u_inv)).to_rows()
+    # M is triangular mod p with unit diagonal; its lower entry keeps Z/p^j's image of order p^j
+    t = [[rng.choice(units), rng.randint(-5, 5)], [p ** max(top - j, 1) * rng.randint(-3, 3), rng.choice(units)]]
+    rows = [free[r] + [0, 0] for r in range(f + 1)]
+    rows += [[rng.randint(-5, 5) for _ in range(f + 1)] + [p * x for x in t[r]] for r in range(2)]
+    return ColimModule(g, GroupHom(g, g, IntMatrix.from_rows(rows, cols=g.gen_count)))
+
+
+def long_chain_colimits():
+    rng = random.Random(68)
+    for length in range(3, 41):
+        for multi in (False, True, True):
+            yield long_chain_colimit(rng, length, multi)
+
+
+def shape(obj) -> tuple:
+    if isinstance(obj, colimit.LocObject):
+        return "loc", obj.loc.n, obj.torsion.torsion
+    return "fg", obj.free_rank, obj.torsion
+
+
+class TestLongChains:
+    """Kernel chains of 3 to 40 steps: the stable kernel is read at the first
+    power of two past the chain's length, not at its least stopping point."""
+
+    def test_chain_lengths(self):
+        lengths = [chain_length(c) for c in long_chain_colimits()]
+        assert set(lengths) == set(range(3, 41))
+
+    def test_spans_the_reference_subgroup(self):
+        for c in long_chain_colimits():
+            k = colimit._stable_kernel(c)
+            _, ref = reference_stable_kernel(c)
+            assert all(abelian.solve(ref, x) is not None for x in k.gens), c
+            assert all(abelian.solve(k.inclusion, tuple(x)) is not None for x in columns(ref.matrix)), c
+
+    def test_normalize_matches_the_reference(self, monkeypatch):
+        cases = list(long_chain_colimits())
+        found = [shape(colimit.normalize(c)) for c in cases]
+
+        def from_reference(c):
+            group, inc = reference_stable_kernel(c)
+            return abelian._KernelData(group, c.stage, [tuple(x) for x in columns(inc.matrix)])
+
+        monkeypatch.setattr(colimit, "_stable_kernel", from_reference)
+        assert found == [shape(colimit.normalize(c)) for c in cases]
+        assert {kind for kind, *_ in found} == {"fg", "loc"}
+
+    def test_smith_forms_on_two_power_chains(self, monkeypatch):
+        """normalize on Z/2^k with bond 2: 22/37/58/70 Smith forms when the
+        least stopping point was bisected for, with powers by squaring."""
+        calls = []
+        snf = abelian._snf_ext
+        patch_snf(monkeypatch, lambda a, track: calls.append(a) or snf(a, track))
+        taken = []
+        for k in (10, 100, 1000, 4000):
+            g = FgAbGroup(0, (2**k,))
+            calls.clear()
+            assert colimit.normalize(ColimModule(g, GroupHom(g, g, IntMatrix(1, 1, (2,))))).is_trivial
+            taken.append(len(calls))
+        assert taken == [16, 25, 34, 40]

@@ -12,7 +12,7 @@ from bs_ktheory.cli import main
 from bs_ktheory.colimit import ColimModule, LadderMap, LocalizedInt, LocObject, coprime_part, normalize
 from bs_ktheory.ledger import KClass, KClassLedger
 from bs_ktheory.presentation import ComplexHomology, Presentation, Word, bs_presentation, presentation_homology
-from bs_ktheory.pv import KInput, bs_input
+from bs_ktheory.pv import KInput, bs_input, kinput_from_json, kinput_to_json
 from bs_ktheory.solenoid import NadicRational, RationalAngle, SolenoidPoint, pairing, random_point
 
 Z = FgAbGroup.free(1, ("x",))
@@ -97,7 +97,30 @@ class TestKInputUnit:
             KInput(Z, TRIVIAL, GroupHom.identity(Z), GroupHom.identity(TRIVIAL), ledger)
 
 
+class TestLedgerRecords:
+    def test_float_class_is_not_solved(self):
+        # a float coordinate came out of pv_solve as crossed1 (0,), order 1
+        data = kinput_to_json(bs_input(3))
+        data["alpha1"] = {"rung": 2}
+        ledger = kinput_from_json(data).ledger
+        with raises("class coordinates must be Python ints"):
+            ledger.with_entry("[x]", KClass("k1", (1.5,), math.inf))
+
+    @pytest.mark.parametrize("x", [1.5, True, Fraction(1), "1"])
+    def test_coordinates_are_ints(self, x):
+        with raises("class coordinates must be Python ints"):
+            KClass("k0", (x, 2), math.inf)
+
+    def test_note_is_a_str(self):
+        with raises("a class note must be a str"):
+            KClass("k0", (1, 2), math.inf, note=None)
+
+
 class TestAbelianRecords:
+    def test_from_rows_checks_cols(self):
+        with raises("row length does not match the column count"):
+            IntMatrix.from_rows([[1, 2]], cols=3)
+
     @pytest.mark.parametrize("rows, cols", [(-1, 0), (0, -1)])
     def test_negative_dimensions(self, rows, cols):
         with raises("matrix dimensions must be nonnegative"):
@@ -144,6 +167,10 @@ class TestColimitRecords:
     def test_coprime_part_of_zero(self):
         with raises("coprime_part of 0 is undefined"):
             coprime_part(0, 6)
+
+    def test_coprime_part_on_z_localized_at_zero(self):
+        with raises("cannot invert 0"):
+            coprime_part(6, 0)
 
     def test_loc_object_torsion_is_finite(self):
         with raises("the torsion part must be a finite group"):
