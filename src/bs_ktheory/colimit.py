@@ -54,16 +54,6 @@ class LocalizedInt(_checked_namedtuple("LocalizedInt", "n symbol")):
             raise ValueError("cannot invert 0")
         return tuple.__new__(cls, (n, symbol))
 
-    @property
-    def is_degenerate(self) -> bool:
-        return abs(self.n) == 1
-
-    def as_group(self) -> FgAbGroup:
-        """The underlying group when |n| = 1 (Z, generated by the symbol)."""
-        if not self.is_degenerate:
-            raise ValueError(f"Z[1/{self.n}] is not finitely generated")
-        return FgAbGroup.free(1, (self.symbol,))
-
     def as_colim(self) -> "ColimModule":
         stage = FgAbGroup.free(1, (self.symbol,))
         bond = GroupHom(stage, stage, IntMatrix(1, 1, (self.n,)))
@@ -87,11 +77,12 @@ def coprime_part(c: int, n: int) -> int:
     if n == 0:
         raise ValueError("cannot invert 0")
     m = abs(c)
-    k = abs(n)
-    g = math.gcd(m, k)
+    g = math.gcd(m, n)
     while g > 1:
         m //= g
-        g = math.gcd(m, k)
+        # every prime of n that still divides m divides g, so g * g keeps it
+        # and the passes grow with log2 of c's valuation, not with it
+        g = math.gcd(m, g * g)
     return m
 
 
@@ -104,6 +95,8 @@ class LocObject(_checked_namedtuple("LocObject", "loc torsion")):
     def __new__(cls, loc: LocalizedInt, torsion: FgAbGroup | None = None):
         if torsion is None:
             torsion = FgAbGroup.trivial()
+        if type(loc) is not LocalizedInt or not isinstance(torsion, FgAbGroup):
+            raise ValueError("a localized object takes a LocalizedInt and an FgAbGroup torsion part")
         if torsion.free_rank != 0:
             raise ValueError("the torsion part must be a finite group")
         return tuple.__new__(cls, (loc, torsion))

@@ -32,6 +32,8 @@ class KClass(_checked_namedtuple("KClass", "location vector order note")):
                     raise ValueError("class coordinates must be Python ints")
         if location not in LOCATIONS:
             raise ValueError(f"unknown ledger location {location!r}")
+        if order is not None and order != math.inf and (type(order) is not int or order < 1):
+            raise ValueError("a class order is None, math.inf or a Python int >= 1")
         if type(note) is not str:
             raise ValueError("a class note must be a str")
         return tuple.__new__(cls, (location, vector, order, note))
@@ -42,6 +44,9 @@ class KClassLedger(Mapping):
 
     def __init__(self, entries: Mapping[str, KClass] | None = None):
         self._entries: dict[str, KClass] = dict(entries or {})
+        for symbol, entry in self._entries.items():
+            if type(symbol) is not str or not isinstance(entry, KClass):
+                raise ValueError("a ledger maps str symbols to KClass entries")
 
     def __getitem__(self, symbol: str) -> KClass:
         return self._entries[symbol]
@@ -59,11 +64,7 @@ class KClassLedger(Mapping):
 
 
 def order_to_json(order: int | float | None):
-    if order is None:
-        return None
-    if order == math.inf:
-        return "inf"
-    return int(order)
+    return "inf" if order == math.inf else order
 
 
 def _order_text(order: int | float | None) -> str:

@@ -74,55 +74,48 @@ class KInput(_checked_namedtuple("KInput", "k0 k1 alpha0 alpha1 ledger")):
     __slots__ = ()
 
     def __new__(cls, k0: AbObject, k1: AbObject, alpha0: SelfMap, alpha1: SelfMap, ledger: KClassLedger):
-        _check_side(k0, alpha0, "alpha0")
-        _check_side(k1, alpha1, "alpha1")
+        if not isinstance(ledger, KClassLedger):
+            raise ValueError("the solver input's ledger must be a KClassLedger")
+        acts = {"k0": _check_side(k0, alpha0, "alpha0"), "k1": _check_side(k1, alpha1, "alpha1")}
         for sym, entry in ledger.items():
             if entry.location not in ("k0", "k1", "unitary"):
                 raise ValueError(
                     f"ledger entry {reprlib.repr(sym)} is in {entry.location!r}, which only a solution holds"
                 )
-            if entry.location in ("k0", "k1"):
-                side = k0 if entry.location == "k0" else k1
+            if entry.location in acts:
+                group = acts[entry.location].source
                 if entry.vector is None:
                     raise ValueError(f"ledger entry {reprlib.repr(sym)} needs a coefficient vector")
-                expected = side.gen_count if isinstance(side, FgAbGroup) else 1
-                if len(entry.vector) != expected:
+                if len(entry.vector) != group.gen_count:
                     raise ValueError(f"ledger entry {reprlib.repr(sym)} has the wrong vector length")
-                if entry.order is not None:
-                    if isinstance(side, FgAbGroup):
-                        true_order = element_order(side, entry.vector)
-                    else:
-                        # nonzero elements of a localization are free
-                        true_order = math.inf if entry.vector[0] else 1
-                    if entry.order != true_order:
-                        raise ValueError(
-                            f"ledger entry {reprlib.repr(sym)} annotates order {reprlib.repr(entry.order)}, "
-                            f"but the class has order {reprlib.repr(true_order)}"
-                        )
+                if entry.order is not None and entry.order != (true_order := element_order(group, entry.vector)):
+                    raise ValueError(
+                        f"ledger entry {reprlib.repr(sym)} annotates order {reprlib.repr(entry.order)}, "
+                        f"but the class has order {reprlib.repr(true_order)}"
+                    )
         unit = ledger.get("[1]")
         if unit is None or unit.location != "k0":
             raise ValueError('the ledger must locate "[1]" in k0')
-        if isinstance(k0, FgAbGroup):
-            if element_order(k0, unit.vector) != math.inf:
-                raise ValueError('"[1]" must have infinite order (unital algebra)')
-            if alpha0.apply(unit.vector) != k0.reduce(unit.vector):
-                raise ValueError("alpha0 must fix the unit class")
-        else:
-            if unit.vector[0] == 0:
+        act0 = acts["k0"]
+        if element_order(act0.source, unit.vector) != math.inf:
+            if isinstance(k0, LocObject):  # on its stage Z, infinite order means nonzero
                 raise ValueError('"[1]" must be nonzero')
-            r = alpha0.rung.matrix.at(0, 0)
-            if r != 1:
-                raise ValueError("alpha0 must fix the unit class")
+            raise ValueError('"[1]" must have infinite order (unital algebra)')
+        if act0.apply(unit.vector) != act0.source.reduce(unit.vector):
+            raise ValueError("alpha0 must fix the unit class")
         return tuple.__new__(cls, (k0, k1, alpha0, alpha1, ledger))
 
 
-def _check_side(k: AbObject, alpha: SelfMap, label: str) -> None:
+def _check_side(k: AbObject, alpha: SelfMap, label: str) -> GroupHom:
+    """Check that ``alpha`` acts on ``k``; return alpha_* on the group that
+    ``k``'s ledger vectors are written in: ``alpha``, or on Z[1/n] the rung on its stage Z."""
     if isinstance(k, FgAbGroup):
         if not isinstance(alpha, GroupHom):
             raise ValueError(f"{label} must be a GroupHom for a finitely generated side")
         if alpha.source != k or alpha.target != k:
             raise ValueError(f"{label} must be a self-map of its group")
-    elif isinstance(k, LocObject):
+        return alpha
+    if isinstance(k, LocObject):
         if not isinstance(alpha, LadderMap):
             raise ValueError(f"{label} must be a LadderMap for a localized side")
         if alpha.source != alpha.target:
@@ -133,8 +126,8 @@ def _check_side(k: AbObject, alpha: SelfMap, label: str) -> None:
             raise ValueError(f"{label} bond must be multiplication by the inverted element")
         if not k.torsion.is_trivial:
             raise ValueError("localized sides with torsion are not supported as solver input")
-    else:
-        raise ValueError(f"unsupported representation for {label}")
+        return alpha.rung
+    raise ValueError(f"unsupported representation for {label}")
 
 
 class SeqRecord(namedtuple("SeqRecord", "sub middle quotient split section")):
@@ -181,8 +174,8 @@ class _Side(namedtuple("_Side", "coinv proj inv d ker c")):
     c: int | None
 
 
-def _fg_side(group: FgAbGroup, alpha: GroupHom) -> _Side:
-    d = GroupHom(group, group, identity_minus(alpha.matrix))
+def _fg_side(alpha: GroupHom) -> _Side:
+    d = GroupHom(alpha.source, alpha.source, identity_minus(alpha.matrix))
     ext = _relations_snf(d)  # one Smith form for both
     coker, ker = _cokernel_ext(d, ext), _kernel_ext(d, ext)
     return _Side(coker.group, coker.proj, ker.group, d, ker, None)
@@ -241,13 +234,11 @@ def _loc_side(obj: LocObject, alpha: LadderMap, degree: int) -> _Side:
 
 
 def _make_side(k: AbObject, alpha: SelfMap, degree: int) -> _Side:
-    if isinstance(k, LocObject) and k.loc.is_degenerate:
-        # Z[1/(+-1)] is Z itself: fold into the finitely generated branch
-        group = k.loc.as_group()
-        r = alpha.rung.matrix.at(0, 0)
-        return _fg_side(group, GroupHom(group, group, IntMatrix(1, 1, (r,))))
     if isinstance(k, FgAbGroup):
-        return _fg_side(k, alpha)
+        return _fg_side(alpha)
+    if abs(k.loc.n) == 1:  # Z[1/(+-1)] is Z itself, generated by the symbol
+        z = FgAbGroup.free(1, (k.loc.symbol,))
+        return _fg_side(GroupHom(z, z, alpha.rung.matrix))
     return _loc_side(k, alpha, degree)
 
 

@@ -15,8 +15,10 @@ and stable kernel, which built an ``IntMatrix`` for every intermediate
 step; the earlier ``generates``, which took a Smith form of the vector and
 the relations; the earlier six-term solver, which kept each side and each
 extension as closures; the earlier solenoid, which kept one ``Fraction`` angle per
-level of a point; and the earlier canonical form of ``NadicRational``,
-which removed one factor of n at a time.
+level of a point; the earlier canonical form of ``NadicRational``,
+which removed one factor of n at a time; the earlier ``coprime_part``,
+which divided out gcd(c, n) once per unit of valuation; and the earlier
+check of the solver input, which branched on each side's kind.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import itertools
 import math
 import os
 import random
+import reprlib
 import subprocess
 import sys
 from collections import Counter, namedtuple
@@ -689,6 +692,90 @@ def reference_stable_kernel(c: ColimModule) -> tuple[FgAbGroup, GroupHom]:
     )
 
 
+def reference_coprime_part(c: int, n: int) -> int:
+    """Largest divisor of |c| coprime to n, one division by gcd(m, |n|) a pass."""
+    if c == 0:
+        raise ValueError("coprime_part of 0 is undefined")
+    if n == 0:
+        raise ValueError("cannot invert 0")
+    m = abs(c)
+    k = abs(n)
+    g = math.gcd(m, k)
+    while g > 1:
+        m //= g
+        g = math.gcd(m, k)
+    return m
+
+
+# ---------------------------------------------------------------------------
+# the solver-input check that branched on each side's kind: KInput must
+# accept the same inputs and raise the same message. Copied from the library
+# as it was, with KInput.__new__'s body as reference_kinput_check.
+
+
+def _reference_check_side(k: AbObject, alpha: SelfMap, label: str) -> None:
+    if isinstance(k, FgAbGroup):
+        if not isinstance(alpha, GroupHom):
+            raise ValueError(f"{label} must be a GroupHom for a finitely generated side")
+        if alpha.source != k or alpha.target != k:
+            raise ValueError(f"{label} must be a self-map of its group")
+    elif isinstance(k, LocObject):
+        if not isinstance(alpha, LadderMap):
+            raise ValueError(f"{label} must be a LadderMap for a localized side")
+        if alpha.source != alpha.target:
+            raise ValueError(f"{label} must be a self-map")
+        if alpha.source.stage.gen_count != 1 or alpha.source.stage.free_rank != 1:
+            raise ValueError(f"{label} must act on the rank-one stage of the localization")
+        if alpha.source.bond.matrix.at(0, 0) != k.loc.n:
+            raise ValueError(f"{label} bond must be multiplication by the inverted element")
+        if not k.torsion.is_trivial:
+            raise ValueError("localized sides with torsion are not supported as solver input")
+    else:
+        raise ValueError(f"unsupported representation for {label}")
+
+
+def reference_kinput_check(k0: AbObject, k1: AbObject, alpha0: SelfMap, alpha1: SelfMap, ledger: KClassLedger) -> None:
+    _reference_check_side(k0, alpha0, "alpha0")
+    _reference_check_side(k1, alpha1, "alpha1")
+    for sym, entry in ledger.items():
+        if entry.location not in ("k0", "k1", "unitary"):
+            raise ValueError(
+                f"ledger entry {reprlib.repr(sym)} is in {entry.location!r}, which only a solution holds"
+            )
+        if entry.location in ("k0", "k1"):
+            side = k0 if entry.location == "k0" else k1
+            if entry.vector is None:
+                raise ValueError(f"ledger entry {reprlib.repr(sym)} needs a coefficient vector")
+            expected = side.gen_count if isinstance(side, FgAbGroup) else 1
+            if len(entry.vector) != expected:
+                raise ValueError(f"ledger entry {reprlib.repr(sym)} has the wrong vector length")
+            if entry.order is not None:
+                if isinstance(side, FgAbGroup):
+                    true_order = element_order(side, entry.vector)
+                else:
+                    # nonzero elements of a localization are free
+                    true_order = math.inf if entry.vector[0] else 1
+                if entry.order != true_order:
+                    raise ValueError(
+                        f"ledger entry {reprlib.repr(sym)} annotates order {reprlib.repr(entry.order)}, "
+                        f"but the class has order {reprlib.repr(true_order)}"
+                    )
+    unit = ledger.get("[1]")
+    if unit is None or unit.location != "k0":
+        raise ValueError('the ledger must locate "[1]" in k0')
+    if isinstance(k0, FgAbGroup):
+        if element_order(k0, unit.vector) != math.inf:
+            raise ValueError('"[1]" must have infinite order (unital algebra)')
+        if alpha0.apply(unit.vector) != k0.reduce(unit.vector):
+            raise ValueError("alpha0 must fix the unit class")
+    else:
+        if unit.vector[0] == 0:
+            raise ValueError('"[1]" must be nonzero')
+        r = alpha0.rung.matrix.at(0, 0)
+        if r != 1:
+            raise ValueError("alpha0 must fix the unit class")
+
+
 # ---------------------------------------------------------------------------
 # the closure-based six-term solver: the library's solver on plain data must
 # give the same solution, or raise the same error, on every input. Copied
@@ -776,9 +863,9 @@ def _loc_side(obj: LocObject, alpha: LadderMap, degree: int) -> _Side:
 
 
 def _make_side(k: AbObject, alpha: SelfMap, degree: int) -> _Side:
-    if isinstance(k, LocObject) and k.loc.is_degenerate:
+    if isinstance(k, LocObject) and abs(k.loc.n) == 1:
         # Z[1/(+-1)] is Z itself: fold into the finitely generated branch
-        group = k.loc.as_group()
+        group = FgAbGroup.free(1, (k.loc.symbol,))
         r = alpha.rung.matrix.at(0, 0)
         return _fg_side(group, GroupHom(group, group, IntMatrix(1, 1, (r,))))
     if isinstance(k, FgAbGroup):

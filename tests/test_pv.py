@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import sys
 import time
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 from bs_ktheory import pv
 from bs_ktheory.abelian import FgAbGroup, GroupHom, IntMatrix, element_order, is_isomorphic
-from bs_ktheory.colimit import LadderMap, LocalizedInt, LocObject
+from bs_ktheory.colimit import ColimModule, LadderMap, LocalizedInt, LocObject
 from bs_ktheory.cli import main
 from bs_ktheory.errors import DomainError, UnresolvedExtension
 from bs_ktheory.ledger import KClass, KClassLedger
@@ -22,7 +23,14 @@ from bs_ktheory.pv import (
     pv_solve,
     solution_to_json,
 )
-from helpers import random_group, random_hom_matrix, reference_pv_solve, run_optimized
+from helpers import (
+    random_group,
+    random_hom_matrix,
+    random_selfmap,
+    reference_kinput_check,
+    reference_pv_solve,
+    run_optimized,
+)
 TRIVIAL = FgAbGroup.trivial()
 
 
@@ -250,6 +258,13 @@ def localized_map(loc: LocalizedInt, rung: int) -> LadderMap:
     return LadderMap(colim, colim, GroupHom(colim.stage, colim.stage, IntMatrix(1, 1, (rung,))))
 
 
+def stage_named_map(loc: LocalizedInt, rung: int) -> LadderMap:
+    """A ladder built by hand on a stage whose generator the symbol does not name."""
+    stage = FgAbGroup.free(1, ("s",))
+    colim = ColimModule(stage, GroupHom(stage, stage, IntMatrix(1, 1, (loc.n,))))
+    return LadderMap(colim, colim, GroupHom(stage, stage, IntMatrix(1, 1, (rung,))))
+
+
 class TestLocalizedDegreeZero:
     @pytest.mark.parametrize("n", [1, -1])
     def test_degenerate_localization_is_z(self, n):
@@ -274,6 +289,23 @@ def random_localized_input(rng, n: int) -> KInput:
     loc = LocalizedInt(n, "v")
     ledger = base.ledger.with_entry("[b]", KClass("k1", (rng.randint(-6, 6),), None))
     return KInput(base.k0, LocObject(loc), base.alpha0, localized_map(loc, 1 - c), ledger)
+
+
+def degenerate_inputs() -> list[KInput]:
+    """Z[1/1] and Z[1/-1] in degree one at rungs 1, -1, 0 and 2, beside Z or
+    the same localization at rung 1 in degree zero, on ladders from
+    ``as_colim`` and on hand-built ones."""
+    base = bs_input(2)
+    ledger = base.ledger.with_entry("[b]", KClass("k1", (1,), math.inf))
+    inputs = []
+    for n in (1, -1):
+        loc = LocalizedInt(n, "w")
+        for make in (localized_map, stage_named_map):
+            for rung in (1, -1, 0, 2):
+                alpha1 = make(loc, rung)
+                inputs.append(KInput(base.k0, LocObject(loc), base.alpha0, alpha1, ledger))
+                inputs.append(KInput(LocObject(loc), LocObject(loc), make(loc, 1), alpha1, ledger))
+    return inputs
 
 
 def random_fg_input(rng) -> KInput:
@@ -309,6 +341,7 @@ class TestMatchesClosureSolver:
         inputs = [bs_input(n) for n in range(-64, 65) if n not in (0, 1)]
         inputs += [random_localized_input(rng, rng.choice((-1, 1)) * rng.randint(1, 40)) for _ in range(200)]
         inputs += [random_fg_input(rng) for _ in range(250)]
+        inputs += degenerate_inputs()
         reached = set()
         for inp in inputs:
             for rule in (True, False):
@@ -328,6 +361,68 @@ class TestMatchesClosureSolver:
             "UnresolvedExtension",
             "u",
         }, reached
+
+
+def check_verdict(check, fields) -> str | None:
+    """None when ``check`` accepts the solver input, else its message."""
+    try:
+        check(*fields)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def mutated(rng, inp: KInput) -> tuple:
+    """The fields of ``inp`` with one seeded change to a ledger vector, an
+    order annotation, the unit class or the degree-zero action."""
+    k0, k1, alpha0, alpha1, ledger = inp
+    entries = dict(ledger)
+    sym = rng.choice(sorted(s for s, e in entries.items() if e.location in ("k0", "k1")))
+    entry = entries[sym]
+    kind = rng.choice(("length", "order", "missing", "zero unit", "moved unit", "alpha0"))
+    if kind == "length":
+        vec = entry.vector[:-1] if entry.vector and rng.random() < 0.5 else (*entry.vector, rng.randint(-2, 2))
+        entries[sym] = entry._replace(vector=vec)
+    elif kind == "order":
+        entries[sym] = entry._replace(order=rng.choice((None, math.inf, 1, 2, 3, 4, 6)))
+    elif kind == "missing":
+        entries[sym] = entry._replace(vector=None)
+    elif kind == "zero unit":
+        entries["[1]"] = entries["[1]"]._replace(vector=(0,) * len(entries["[1]"].vector), order=None)
+    elif kind == "moved unit":
+        entries["[1]"] = entries["[1]"]._replace(location=rng.choice(("k1", "unitary")))
+    elif isinstance(k0, FgAbGroup):
+        alpha0 = random_selfmap(rng, k0)
+    else:
+        alpha0 = rng.choice((localized_map, stage_named_map))(k0.loc, rng.randint(-3, 3))
+    return k0, k1, alpha0, alpha1, KClassLedger(entries)
+
+
+class TestKInputMatchesReference:
+    def test_same_verdict_and_message(self):
+        """KInput accepts the inputs the check that branched on each side's
+        kind accepted, and rejects the others with the same message, on
+        finitely generated, localized and Z[1/(+-1)] sides."""
+        rng = random.Random(28)
+        bases = [random_fg_input(rng) for _ in range(100)]
+        bases += [random_localized_input(rng, rng.choice((-1, 1)) * rng.randint(2, 40)) for _ in range(100)]
+        bases += degenerate_inputs()
+        verdicts = set()
+        for base in bases:
+            for fields in (tuple(base), *(mutated(rng, base) for _ in range(6))):
+                got = check_verdict(KInput, fields)
+                assert got == check_verdict(reference_kinput_check, fields), kinput_to_json(base)
+                verdicts.add(got and re.sub(r"^ledger entry \S+ |, but the class has order .*$", "", got))
+        assert {v for v in verdicts if v and v.startswith("annotates order")}, verdicts
+        assert verdicts >= {
+            None,
+            "needs a coefficient vector",
+            "has the wrong vector length",
+            '"[1]" must be nonzero',
+            '"[1]" must have infinite order (unital algebra)',
+            "alpha0 must fix the unit class",
+            'the ledger must locate "[1]" in k0',
+        }, verdicts
 
 
 class TestPastTheDigitLimit:

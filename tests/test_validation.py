@@ -115,6 +115,31 @@ class TestLedgerRecords:
         with raises("a class note must be a str"):
             KClass("k0", (1, 2), math.inf, note=None)
 
+    @pytest.mark.parametrize("order", [1.5, True, "inf", 0, -2, Fraction(2)], ids=repr)
+    def test_order_is_none_inf_or_a_positive_int(self, order):
+        # 1.5 was written to JSON as 1, and True passed KInput's check as order 1
+        with raises("a class order is None, math.inf or a Python int >= 1"):
+            KClass("k0", (1,), order)
+
+    @pytest.mark.parametrize("order", [None, math.inf, 3])
+    def test_order_accepted(self, order):
+        assert KClass("k0", (1,), order).order == order
+
+    def test_ledger_values_are_classes(self):
+        # KInput read the int's .location
+        with raises("a ledger maps str symbols to KClass entries"):
+            KClassLedger({**bs_input(2).ledger, "[x]": 5})
+
+    def test_ledger_keys_are_strs(self):
+        with raises("a ledger maps str symbols to KClass entries"):
+            KClassLedger({1: KClass("k0", (1,), math.inf)})
+
+    def test_solver_ledger_is_a_ledger(self):
+        # a dict was accepted, and pv_solve then called its missing with_entry
+        inp = bs_input(2)
+        with raises("the solver input's ledger must be a KClassLedger"):
+            KInput(inp.k0, inp.k1, inp.alpha0, inp.alpha1, dict(inp.ledger))
+
 
 class TestAbelianRecords:
     def test_from_rows_checks_cols(self):
@@ -171,6 +196,15 @@ class TestColimitRecords:
     def test_coprime_part_on_z_localized_at_zero(self):
         with raises("cannot invert 0"):
             coprime_part(6, 0)
+
+    def test_loc_object_takes_a_localization(self):
+        # KInput read the int's .n
+        with raises("a localized object takes a LocalizedInt and an FgAbGroup torsion part"):
+            LocObject(3)
+
+    def test_loc_object_torsion_is_a_group(self):
+        with raises("a localized object takes a LocalizedInt and an FgAbGroup torsion part"):
+            LocObject(LocalizedInt(3), "x")
 
     def test_loc_object_torsion_is_finite(self):
         with raises("the torsion part must be a finite group"):
