@@ -9,8 +9,6 @@ unresolved extension (partial data is still printed).
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import reprlib
 import sys
@@ -23,19 +21,27 @@ EXIT_INVARIANT = 3
 EXIT_UNRESOLVED = 4
 
 
-def _argv_int(text: str) -> int:
-    """An integer argument: ASCII ``-?[0-9]+``. ``int()`` would also take
-    underscores, surrounding space and other scripts' digits."""
+def _ascii_int(text: str) -> int | None:
+    """An integer argument, ASCII ``-?[0-9]+``, else None. ``int()`` would
+    also take underscores, surrounding space and other scripts' digits."""
     digits = text[1:] if text.startswith("-") else text
     if digits.isascii() and digits.isdigit():
         try:
             return int(text)
         except ValueError:  # past the interpreter's int-to-str digit limit
             pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {reprlib.repr(text)}")
+    return None
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _argv_int(text: str) -> int:
+    import argparse
+    if (value := _ascii_int(text)) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {reprlib.repr(text)}")
+    return value
+
+
+def build_parser():
+    import argparse
     parser = argparse.ArgumentParser(
         prog="bsk",
         description=(
@@ -71,12 +77,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the success grammar: each command's positional argument, pair's flags and defaults
+_POSITIONALS = {"bs": "n", "pv": "input_path", "homology": "presentation", "khom": "presentation", "snf": "matrix"}
+_PAIR_FLAGS = {"--n": None, "--depth": 4, "--seed": 0, "--trials": 100}
+_Namespace = type(sys.implementation)  # types.SimpleNamespace, without importing types
+
+
+def _read_argv(argv: list[str]) -> dict | None:
+    """``vars(build_parser().parse_args(argv))`` for an argv of the success
+    grammar: ``[--json] [--out PATH]``, a command and its own arguments, each
+    flag once and unabbreviated, no other token starting with ``-``. Else
+    None, and argparse reads it, with its usage, help and errors."""
+    fields, rest = {"json": False, "out": None}, list(argv)
+    while rest[:1] == ["--json"] and not fields["json"] or rest[:1] == ["--out"] and fields["out"] is None:
+        flag = rest.pop(0)[2:]
+        fields[flag] = flag == "json" or (rest.pop(0) if rest else "-")  # "-": no PATH, declined below
+    fields["command"] = command = rest.pop(0) if rest and not (fields["out"] or "").startswith("-") else None
+    if command in _POSITIONALS and len(rest) == 1:
+        value = _ascii_int(rest[0]) if command == "bs" else None if rest[0].startswith("-") else rest[0]
+        return None if value is None else {**fields, _POSITIONALS[command]: value}
+    flags = {}
+    while command == "pair" and rest:
+        flag, sep, value = rest.pop(0).partition("=")
+        value = value if sep or not rest else rest.pop(0)
+        if flag not in _PAIR_FLAGS or flag in flags or _ascii_int(value) is None:
+            return None
+        flags[flag] = _ascii_int(value)
+    # pair without --n, or any argv that no branch above has read
+    return fields | {f[2:]: flags.get(f, d) for f, d in _PAIR_FLAGS.items()} if "--n" in flags else None
+
+
 def _read_text(path: str) -> str:
     with open(path, encoding="utf-8") as f:
         return f.read()
 
 
 def _parse_json(text: str):
+    import json
     try:
         return json.loads(text)
     except RecursionError:  # the decoder recurses once per level of nesting
@@ -256,6 +293,7 @@ def _respond(args, run, data) -> int:
         code, table = EXIT_UNRESOLVED, None
         payload = {"error": "unresolved extension", "message": str(exc), "partial": exc.partial}
     if table is None or args.json:
+        import json
         text = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
     else:
         text = table()
@@ -270,7 +308,8 @@ def _respond(args, run, data) -> int:
 def main(argv: list[str] | None = None) -> int:
     if hasattr(sys.stdout, "reconfigure"):
         sys.stdout.reconfigure(encoding="utf-8")
-    args = build_parser().parse_args(argv)
+    fields = _read_argv(sys.argv[1:] if argv is None else argv)
+    args = build_parser().parse_args(argv) if fields is None else _Namespace(**fields)
     read, run = COMMANDS[args.command]
     try:
         # input, like argv, is read under the digit limit; all that follows is not

@@ -94,6 +94,8 @@ def ledger_from_json(data, path: str) -> KClassLedger:
         if location not in LOCATIONS:
             json_fail(f"{at}.group", f"one of {', '.join(LOCATIONS)}", location)
         order = math.inf if raw.get("order") == "inf" else json_field(raw, "order", int, at, None)
+        if order is not None and order < 1:
+            json_fail(f"{at}.order", "'inf' or an integer >= 1", order)
         coeffs = json_field(raw, "coeffs", [int], at, None)
         entries[symbol] = KClass(location, coeffs, order, json_field(raw, "note", str, at, ""))
     return KClassLedger(entries)

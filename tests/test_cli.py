@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -10,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from bs_ktheory import cli
 from bs_ktheory.abelian import IntMatrix, smith_normal_form
-from bs_ktheory.cli import _without_digit_limit, main
+from bs_ktheory.cli import _read_argv, _without_digit_limit, build_parser, main
 from bs_ktheory.pv import bs_input, kinput_to_json
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -749,6 +752,137 @@ class TestOutputContract:
         assert target.read_text(encoding="utf-8") == run(capsys, "bs", "5")[1]
 
 
+GOLDEN_ARGVS = [
+    [arg.replace("{dir}", "/data") for arg in case["argv"]]
+    for case in json.loads((Path(__file__).resolve().parent / "golden" / "cli.json").read_text(encoding="utf-8"))
+]
+# the forms perfbench/workloads.py::_cli_argv passes to each cli-process run
+WORKLOAD_ARGVS = [
+    ["bs", "-7"],
+    ["--json", "bs", "1999"],
+    ["--json", "khom", "<a,b | a b a^-1 = b^3>"],
+    ["--json", "homology", "<a,b,c | a^2 b^-2 c^3 a>"],
+    ["--json", "snf", "[[1, -2], [3, 4]]"],
+    ["pv", "/data/pv-3.json"],
+    ["--json", "pair", "--n=3", "--depth=4", "--seed=123", "--trials=300"],
+]
+# tokens the mutations insert or substitute: every flag and command, their
+# abbreviations, and values argparse reads differently from a plain integer
+ARGV_TOKENS = (
+    *("--json", "--out", "--n", "--depth", "--seed", "--trials", "--help", "-h", "--", "-", ""),
+    *("bs", "pv", "homology", "khom", "pair", "snf", "frob", "b", "pai"),
+    *("--js", "--j", "--ou", "--o", "--dep", "--se", "--tri", "--nn", "--out=o.txt", "--json=1", "--n=", "--dep=4"),
+    *("5", "-3", "007", "-0", "+5", "1_0", "٣", " 7 ", "-1.5", "5e3", "7" * 4301, "-x", "-n", "-a b", "a b"),
+    *("o.txt", "[[1,2],[3,4]]", "<a,b | a b a^-1 = b^3>", "=", "--n=3", "--trials=-1", "--seed=٣"),
+)
+
+
+def mutate_argv(argv: list[str], rng: random.Random) -> list[str]:
+    """``argv`` after one to three random edits: a token inserted, deleted,
+    replaced or swapped, a flag abbreviated, or ``--flag value`` and
+    ``--flag=value`` turned into each other."""
+    argv = list(argv)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(argv) + 1)
+        edit = rng.randrange(6)
+        if edit == 0 or not argv:
+            argv.insert(i, rng.choice(ARGV_TOKENS))
+            continue
+        i = min(i, len(argv) - 1)
+        if edit == 1:
+            del argv[i]
+        elif edit == 2:
+            argv[i] = rng.choice(ARGV_TOKENS)
+        elif edit == 3:
+            j = rng.randrange(len(argv))
+            argv[i], argv[j] = argv[j], argv[i]
+        elif argv[i].startswith("--"):
+            flag, sep, value = argv[i].partition("=")
+            if edit == 4 and len(flag) > 3:
+                argv[i] = flag[: rng.randrange(3, len(flag))] + sep + value
+            elif edit == 5 and sep:
+                argv[i : i + 1] = [flag, value]
+            elif edit == 5 and i + 1 < len(argv):
+                argv[i : i + 2] = [f"{flag}={argv[i + 1]}"]
+    return argv
+
+
+def argparse_fields(parser, argv: list[str]) -> dict | None:
+    """``vars()`` of the namespace ``parser`` reads from ``argv``, or None
+    where it exits instead (an error, or help)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+class TestArgvReader:
+    """``cli._read_argv`` returns argparse's namespace or declines, so that
+    a process whose argv it reads never imports argparse."""
+
+    def test_success_forms_read(self):
+        parser = build_parser()
+        for argv in GOLDEN_ARGVS + WORKLOAD_ARGVS:
+            fields = argparse_fields(parser, argv)
+            assert fields is not None and _read_argv(argv) == fields, argv
+
+    def test_mutations_read_as_argparse_reads_them_or_declined(self):
+        parser = build_parser()
+        rng = random.Random(20161)
+        bases = GOLDEN_ARGVS + WORKLOAD_ARGVS
+        argvs = bases + [mutate_argv(rng.choice(bases), rng) for _ in range(6000)]
+        read = wrong = 0
+        for argv in argvs:
+            fields = _read_argv(argv)
+            if fields is not None:
+                read += 1
+                assert fields == argparse_fields(parser, argv), argv
+            wrong += fields is None and argv in bases
+        assert wrong == 0
+        # the mutations reach both sides of the reader
+        assert len(bases) + 500 < read < len(argvs) - 1000, read
+
+
+# argv that the reader declines: argparse prints help, usage or an error,
+# or reads what the success grammar leaves out
+ARGPARSE_ARGVS = [
+    ["-h"],
+    ["--help"],
+    *([command, "-h"] for command in ("bs", "pv", "homology", "khom", "pair", "snf")),
+    [],
+    ["frob", "5"],
+    ["bs"],
+    ["--js", "bs", "5"],
+    ["--out={out}", "bs", "5"],
+    ["--json", "--json", "bs", "5"],
+    ["bs", "--", "-3"],
+    ["bs", "+5"],
+]
+
+
+@pytest.mark.parametrize("argv", ARGPARSE_ARGVS, ids=lambda argv: " ".join(argv) or "no arguments")
+def test_argparse_path_unchanged(argv, capsys, tmp_path, monkeypatch):
+    """Where the reader declines, ``main`` prints what it printed when
+    argparse read every argv: same stdout, stderr, exit code and file."""
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [arg.replace("{out}", str(tmp_path / "out.txt")) for arg in argv]
+    assert _read_argv(argv) is None
+
+    def outcome():
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        written = (tmp_path / "out.txt").read_text(encoding="utf-8") if (tmp_path / "out.txt").exists() else None
+        (tmp_path / "out.txt").unlink(missing_ok=True)
+        return code, *capsys.readouterr(), written
+
+    seen = outcome()
+    monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
+    assert outcome() == seen
+
+
 class TestHugeExponentsInProcess:
     def test_bs_large_parameter(self):
         done = run_process("bs", "1000000000039")
@@ -806,6 +940,31 @@ class TestStartup:
             f"print(sorted(m for m in {unused!r} if m in sys.modules))"
         )
         assert last_line_of_clean_interpreter(code) == "[]"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bs", "5"],
+            ["--json", "snf", "[[2,4],[6,8]]"],
+            ["--json", "khom", "<a,b | a b a^-1 = b^3>"],
+            ["pair", "--n=3", "--depth=4", "--seed=1", "--trials=20"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_success_path_loads_no_argparse(self, argv):
+        """An argv the reader reads pays for neither ``argparse`` nor the
+        ``gettext``, ``locale`` and ``shutil`` it imports."""
+        unused = ("argparse", "gettext", "locale", "shutil")
+        code = (
+            f"import sys\nfrom bs_ktheory.cli import main\nmain({argv!r})\n"
+            f"print(sorted(m for m in {unused!r} if m in sys.modules))"
+        )
+        assert last_line_of_clean_interpreter(code) == "[]"
+
+    def test_table_loads_no_json(self):
+        """``bsk bs`` prints a table, so it imports no ``json``."""
+        code = "import sys\nfrom bs_ktheory.cli import main\nmain(['bs', '5'])\nprint('json' in sys.modules)"
+        assert last_line_of_clean_interpreter(code) == "False"
 
     def test_pair_loads_no_fractions(self):
         """``bsk pair`` works on int pairs, so it loads neither ``fractions``

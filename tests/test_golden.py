@@ -103,6 +103,10 @@ def _cases() -> list[dict]:
     # a declared generator named like a derived one: a2 beside a repeated a
     for command in ("homology", "khom"):
         cases.append({"argv": [command, "<a,b,a2 | a^-2 b^-2>"]})
+    # exit 2: a ledger order of 0, named by its JSON path
+    zero_order = kinput_to_json(bs_input(3))
+    zero_order["ledger"]["[b]"]["order"] = 0
+    cases.append({"argv": ["pv", "{dir}/in.json"], "files": {"in.json": json.dumps(zero_order)}})
     return cases
 
 
@@ -140,7 +144,16 @@ def _first(argv_prefix: list[str]) -> dict:
 
 
 # a few cases through the real entry point, the exit-2 one included
-ENTRY_POINT_PREFIXES = (["bs"], ["--json", "bs"], ["khom"], ["--json", "snf"], ["pv"], ["bs", "0"])
+ENTRY_POINT_PREFIXES = (
+    ["bs"],
+    ["--json", "bs"],
+    ["khom"],
+    ["--json", "snf"],
+    ["pv"],
+    ["pair"],
+    ["--json", "pair"],
+    ["bs", "0"],
+)
 ENTRY_POINT_CASES = [_first(prefix) for prefix in ENTRY_POINT_PREFIXES] if RECORDED else []
 
 
