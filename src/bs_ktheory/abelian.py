@@ -36,7 +36,6 @@ import math
 import reprlib
 from collections import namedtuple
 from collections.abc import Sequence
-from functools import lru_cache
 
 from .errors import _checked_namedtuple
 
@@ -163,16 +162,6 @@ class SnfDecomposition(namedtuple("SnfDecomposition", "diag u_rows vt uit")):
         return IntMatrix(rows, cols, tuple(entries))
 
 
-@lru_cache(maxsize=None)
-def _cached_identity(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def _identity_tuple(n: int) -> tuple[tuple[int, ...], ...]:
-    # sizes up to 32 stay cached (about 120 KB in all); a wider matrix's is not kept
-    return _cached_identity(n) if n <= 32 else _cached_identity.__wrapped__(n)
-
-
 def _snf_ext(a: IntMatrix, track: Sequence[str]) -> SnfDecomposition:
     """Smith normal form with the transforms named in ``track`` alongside.
 
@@ -202,10 +191,17 @@ def _snf_ext(a: IntMatrix, track: Sequence[str]) -> SnfDecomposition:
     """
     r, c = a.rows, a.cols
     entries, inv = a.entries, "uit" in track
-    ident = _identity_tuple(r) if "u_rows" in track else ((),) * r
-    m = [[*entries[i * c : (i + 1) * c], *ident[i]] for i in range(r)]
-    uit = [[*row] for row in (_identity_tuple(r) if inv else ((),) * r)]
-    vt = [[*row] for row in (_identity_tuple(c) if "vt" in track else ((),) * c)]
+    u_width = r if "u_rows" in track else 0
+    m = [[*entries[i * c : (i + 1) * c], *[0] * u_width] for i in range(r)]
+    uit = [[0] * r if inv else [] for _ in range(r)]
+    vt = [[0] * c if "vt" in track else [] for _ in range(c)]
+    # each tracked transform starts as the identity
+    for i in range(u_width):
+        m[i][c + i] = 1
+    for i in range(r if inv else 0):
+        uit[i][i] = 1
+    for j in range(c if "vt" in track else 0):
+        vt[j][j] = 1
 
     t = 0
     limit = min(r, c)

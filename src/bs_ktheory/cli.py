@@ -52,33 +52,18 @@ def build_parser():
     parser.add_argument("--json", action="store_true", help="emit JSON instead of a table")
     parser.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_bs = sub.add_parser("bs", help="full two-sided computation for the parameter n")
-    p_bs.add_argument("n", type=_argv_int)
-
-    p_pv = sub.add_parser("pv", help="solve a six-term input read from a JSON file")
-    p_pv.add_argument("input_path")
-
-    p_hom = sub.add_parser("homology", help="presentation-complex homology")
-    p_hom.add_argument("presentation")
-
-    p_khom = sub.add_parser("khom", help="K-homology of the classifying space")
-    p_khom.add_argument("presentation")
-
-    p_pair = sub.add_parser("pair", help="randomized exact duality checks on the solenoid")
-    p_pair.add_argument("--n", type=_argv_int, required=True)
-    p_pair.add_argument("--depth", type=_argv_int, default=4)
-    p_pair.add_argument("--seed", type=_argv_int, default=0)
-    p_pair.add_argument("--trials", type=_argv_int, default=100)
-
-    p_snf = sub.add_parser("snf", help="Smith normal form of an integer matrix")
-    p_snf.add_argument("matrix", help="JSON rows, or a path to a JSON file")
-
+    for command, (help_line, positional, _, _) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        if positional:
+            p.add_argument(positional, type=_argv_int if command == "bs" else None,
+                           help="JSON rows, or a path to a JSON file" if command == "snf" else None)
+        else:
+            for flag, default in _PAIR_FLAGS.items():
+                p.add_argument(flag, type=_argv_int, required=default is None, default=default)
     return parser
 
 
-# the success grammar: each command's positional argument, pair's flags and defaults
-_POSITIONALS = {"bs": "n", "pv": "input_path", "homology": "presentation", "khom": "presentation", "snf": "matrix"}
+# pair's flags and defaults; None: required
 _PAIR_FLAGS = {"--n": None, "--depth": 4, "--seed": 0, "--trials": 100}
 _Namespace = type(sys.implementation)  # types.SimpleNamespace, without importing types
 
@@ -93,9 +78,10 @@ def _read_argv(argv: list[str]) -> dict | None:
         flag = rest.pop(0)[2:]
         fields[flag] = flag == "json" or (rest.pop(0) if rest else "-")  # "-": no PATH, declined below
     fields["command"] = command = rest.pop(0) if rest and not (fields["out"] or "").startswith("-") else None
-    if command in _POSITIONALS and len(rest) == 1:
+    positional = COMMANDS[command][1] if command in COMMANDS else None
+    if positional and len(rest) == 1:
         value = _ascii_int(rest[0]) if command == "bs" else None if rest[0].startswith("-") else rest[0]
-        return None if value is None else {**fields, _POSITIONALS[command]: value}
+        return None if value is None else {**fields, positional: value}
     flags = {}
     while command == "pair" and rest:
         flag, sep, value = rest.pop(0).partition("=")
@@ -107,11 +93,6 @@ def _read_argv(argv: list[str]) -> dict | None:
     return fields | {f[2:]: flags.get(f, d) for f, d in _PAIR_FLAGS.items()} if "--n" in flags else None
 
 
-def _read_text(path: str) -> str:
-    with open(path, encoding="utf-8") as f:
-        return f.read()
-
-
 def _parse_json(text: str):
     import json
     try:
@@ -120,19 +101,24 @@ def _parse_json(text: str):
         raise ValueError("JSON input is nested too deeply") from None
 
 
+def _read_json(path: str):
+    with open(path, encoding="utf-8") as f:
+        return _parse_json(f.read())
+
+
 def _load_json(literal_or_path: str):
     """An existing file's JSON, else the argument itself if it starts with ``[``."""
     if os.path.exists(literal_or_path):
-        return _parse_json(_read_text(literal_or_path))
+        return _read_json(literal_or_path)
     if not literal_or_path.lstrip().startswith("["):
         raise ValueError(f"no such file: {reprlib.repr(literal_or_path)}")
     return _parse_json(literal_or_path)
 
 
-def _parse_presentation(args):
+def _parse_presentation(text: str):
     from .presentation import parse
 
-    return parse(args.presentation)
+    return parse(text)
 
 
 # Each handler takes its command's input and returns (exit code, JSON
@@ -255,14 +241,15 @@ def _run_snf(data):
     )
 
 
-# command -> (read its input from the arguments, handler)
+# command -> (help line, positional argument, read the command's input from
+# that argument, handler); pair has no positional, and reads all its flags
 COMMANDS = {
-    "bs": (lambda args: args.n, _run_bs),
-    "pv": (lambda args: _parse_json(_read_text(args.input_path)), _run_pv),
-    "homology": (_parse_presentation, _run_homology),
-    "khom": (_parse_presentation, _run_khom),
-    "pair": (lambda args: args, _run_pair),
-    "snf": (lambda args: _load_json(args.matrix), _run_snf),
+    "bs": ("full two-sided computation for the parameter n", "n", lambda n: n, _run_bs),
+    "pv": ("solve a six-term input read from a JSON file", "input_path", _read_json, _run_pv),
+    "homology": ("presentation-complex homology", "presentation", _parse_presentation, _run_homology),
+    "khom": ("K-homology of the classifying space", "presentation", _parse_presentation, _run_khom),
+    "pair": ("randomized exact duality checks on the solenoid", None, lambda args: args, _run_pair),
+    "snf": ("Smith normal form of an integer matrix", "matrix", _load_json, _run_snf),
 }
 
 
@@ -310,10 +297,10 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.reconfigure(encoding="utf-8")
     fields = _read_argv(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv) if fields is None else _Namespace(**fields)
-    read, run = COMMANDS[args.command]
+    _, positional, read, run = COMMANDS[args.command]
     try:
         # input, like argv, is read under the digit limit; all that follows is not
-        data = read(args)
+        data = read(getattr(args, positional) if positional else args)
         return _without_digit_limit(lambda: _respond(args, run, data))
     except (ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

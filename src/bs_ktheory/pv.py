@@ -363,7 +363,7 @@ def bs_input(n: int) -> KInput:
     alpha0 = GroupHom.identity(k0)
     loc = LocalizedInt(n, "v")
     colim = loc.as_colim()
-    alpha1 = LadderMap(colim, colim, GroupHom(colim.stage, colim.stage, IntMatrix(1, 1, (n,))))
+    alpha1 = LadderMap(colim, colim, colim.bond)  # the rung is the bond: multiplication by n
     k1 = LocObject(loc)
     ledger = KClassLedger(
         {

@@ -17,8 +17,11 @@ the relations; the earlier six-term solver, which kept each side and each
 extension as closures; the earlier solenoid, which kept one ``Fraction`` angle per
 level of a point; the earlier canonical form of ``NadicRational``,
 which removed one factor of n at a time; the earlier ``coprime_part``,
-which divided out gcd(c, n) once per unit of valuation; and the earlier
-check of the solver input, which branched on each side's kind.
+which divided out gcd(c, n) once per unit of valuation; the earlier
+check of the solver input, which branched on each side's kind; and the
+earlier ``bsk`` parser, written out one subcommand at a time, whose help,
+defaults and errors the one ``cli.build_parser`` builds from its command
+table must match.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from bs_ktheory.abelian import (
     is_isomorphic,
     solve,
 )
+from bs_ktheory.cli import _argv_int
 from bs_ktheory.colimit import (
     AbObject,
     ColimModule,
@@ -1102,6 +1106,48 @@ REFERENCE_SOLENOID = {
     "duality_check": reference_duality_check,
     "random_point": reference_random_point,
 }
+
+
+# ---------------------------------------------------------------------------
+# the earlier bsk parser, one subcommand at a time
+
+
+def reference_build_parser():
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="bsk",
+        description=(
+            "Exact K-theory bookkeeping for crossed products by Z and for "
+            "one-relator classifying spaces, with a two-sided comparison driver."
+        ),
+    )
+    parser.add_argument("--json", action="store_true", help="emit JSON instead of a table")
+    parser.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_bs = sub.add_parser("bs", help="full two-sided computation for the parameter n")
+    p_bs.add_argument("n", type=_argv_int)
+
+    p_pv = sub.add_parser("pv", help="solve a six-term input read from a JSON file")
+    p_pv.add_argument("input_path")
+
+    p_hom = sub.add_parser("homology", help="presentation-complex homology")
+    p_hom.add_argument("presentation")
+
+    p_khom = sub.add_parser("khom", help="K-homology of the classifying space")
+    p_khom.add_argument("presentation")
+
+    p_pair = sub.add_parser("pair", help="randomized exact duality checks on the solenoid")
+    p_pair.add_argument("--n", type=_argv_int, required=True)
+    p_pair.add_argument("--depth", type=_argv_int, default=4)
+    p_pair.add_argument("--seed", type=_argv_int, default=0)
+    p_pair.add_argument("--trials", type=_argv_int, default=100)
+
+    p_snf = sub.add_parser("snf", help="Smith normal form of an integer matrix")
+    p_snf.add_argument("matrix", help="JSON rows, or a path to a JSON file")
+
+    return parser
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from bs_ktheory import cli
 from bs_ktheory.abelian import IntMatrix, smith_normal_form
 from bs_ktheory.cli import _read_argv, _without_digit_limit, build_parser, main
 from bs_ktheory.pv import bs_input, kinput_to_json
+from helpers import reference_build_parser
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -881,6 +882,48 @@ def test_argparse_path_unchanged(argv, capsys, tmp_path, monkeypatch):
     seen = outcome()
     monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
     assert outcome() == seen
+
+
+def parser_outcome(parser, argv: list[str]) -> tuple:
+    """The fields ``parser`` reads from ``argv``, or None where it exits,
+    with the exit code and what it writes to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            fields, code = vars(parser.parse_args(argv)), None
+        except SystemExit as exc:
+            fields, code = None, exc.code
+    return fields, code, out.getvalue(), err.getvalue()
+
+
+class TestTableParser:
+    """``build_parser``, built from ``cli.COMMANDS`` and ``cli._PAIR_FLAGS``,
+    reads and prints what the parser written out one subcommand at a time
+    did. The reader and argparse read one table, so a wrong help line or
+    default there moves both, and only this comparison sees it."""
+
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def assert_same(self, argvs):
+        parser, reference = build_parser(), reference_build_parser()
+        for argv in argvs:
+            assert parser_outcome(parser, argv) == parser_outcome(reference, argv), argv
+
+    def test_help_and_usage(self):
+        commands = ("bs", "pv", "homology", "khom", "pair", "snf")
+        self.assert_same([[], ["-h"], *([command, "-h"] for command in commands)])
+
+    def test_fixed_argvs(self):
+        # every golden and workload pair argv passes all four flags
+        on_defaults = [["pair", "--n", "3"]]
+        self.assert_same(GOLDEN_ARGVS + WORKLOAD_ARGVS + ARGPARSE_ARGVS + on_defaults)
+
+    def test_mutations(self):
+        rng = random.Random(20161)
+        bases = GOLDEN_ARGVS + WORKLOAD_ARGVS
+        self.assert_same(mutate_argv(rng.choice(bases), rng) for _ in range(6000))
 
 
 class TestHugeExponentsInProcess:
