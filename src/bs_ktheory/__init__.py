@@ -55,7 +55,7 @@ _EXPORTS = {
         "parse",
         "presentation_homology",
     ),
-    "pv": ("KInput", "PvSolution", "SeqRecord", "boundary_rule", "bs_input", "pv_solve"),
+    "pv": ("KInput", "PvSolution", "SeqRecord", "bs_input", "pv_solve"),
     "solenoid": (
         "NadicRational",
         "RationalAngle",

@@ -166,6 +166,8 @@ def _stable_kernel(c: ColimModule) -> _KernelData:
         if s >= bound:
             raise StabilizationOverflow(f"kernel chain of the bond did not stabilize within {bound} steps")
         prev, s = prev @ prev, 2 * s
+        if c.stage.gen_count == 1 and c.stage.torsion:  # on Z/d the kernel of p depends on p mod d only
+            prev = IntMatrix(1, 1, (prev.entries[0] % c.stage.torsion[0],))
 
 
 def _induced_on_quotient(b: GroupHom, data: _CokernelData) -> list[list[int]]:

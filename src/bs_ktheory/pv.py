@@ -278,22 +278,6 @@ def _audit(record: SeqRecord) -> None:
             raise InvariantViolation("order is not multiplicative over a finite sequence")
 
 
-def boundary_rule(ledger: KClassLedger) -> KClassLedger:
-    """Record the boundary convention: the index map sends [u] to -[1].
-
-    The consequence, drawn during a solve, is that [u] becomes a section
-    generator over the degree-zero invariants whenever [1] lies there (it
-    always does for a unital automorphism), with infinite order whenever
-    [1] has infinite order.
-    """
-    unit = ledger.get("[1]")
-    if unit is None or unit.location != "k0":
-        raise ValueError('the boundary rule needs "[1]" located in k0')
-    return ledger.with_entry(
-        "[u]", KClass("unitary", None, None, "boundary image is -[1]; section over [1]")
-    )
-
-
 def pv_solve(kinput: KInput, apply_boundary_rule: bool = True) -> PvSolution:
     """Solve the six-term sequence for the crossed product by Z.
 
@@ -303,9 +287,6 @@ def pv_solve(kinput: KInput, apply_boundary_rule: bool = True) -> PvSolution:
     the implementing unitary's class as a section generator in degree one.
     """
     ledger = kinput.ledger
-    if apply_boundary_rule:
-        ledger = boundary_rule(ledger)
-
     side0 = _make_side(kinput.k0, kinput.alpha0, 0)
     side1 = _make_side(kinput.k1, kinput.alpha1, 1)
 
@@ -329,6 +310,7 @@ def pv_solve(kinput: KInput, apply_boundary_rule: bool = True) -> PvSolution:
             seq1 = seq1._replace(middle=seq1.middle.renamed(names))
         order = element_order(seq1.middle, u_vector)
         unitary = KClass("crossed1", u_vector, order, "section generator over [1]; boundary image is -[1]")
+        ledger = ledger.with_entry("[u]", KClass("unitary", None, None))
     else:
         unitary = KClass("crossed1", None, None, "boundary rule disabled: order undetermined")
 

@@ -72,7 +72,7 @@ from bs_ktheory.colimit import (
 )
 from bs_ktheory.errors import DepthExceeded, InvariantViolation, StabilizationOverflow, UnresolvedExtension
 from bs_ktheory.ledger import KClass, KClassLedger
-from bs_ktheory.pv import KInput, PvSolution, SelfMap, SeqRecord, _audit, boundary_rule
+from bs_ktheory.pv import KInput, PvSolution, SelfMap, SeqRecord, _audit
 from bs_ktheory.presentation import Presentation, Word, _abelianization_ext
 from bs_ktheory.solenoid import NadicRational
 
@@ -925,7 +925,9 @@ def reference_pv_solve(kinput: KInput, apply_boundary_rule: bool = True) -> PvSo
     """
     ledger = kinput.ledger
     if apply_boundary_rule:
-        ledger = boundary_rule(ledger)
+        ledger = ledger.with_entry(
+            "[u]", KClass("unitary", None, None, "boundary image is -[1]; section over [1]")
+        )
 
     side0 = _make_side(kinput.k0, kinput.alpha0, 0)
     side1 = _make_side(kinput.k1, kinput.alpha1, 1)

@@ -32,6 +32,7 @@ from helpers import (
     random_finite_group,
     random_group,
     random_hom,
+    random_torsion_chain,
     reference_generates,
     reference_pair_snf_ext,
     reference_snf_ext,
@@ -503,6 +504,39 @@ class TestElementOrder:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             element_order(Z, (1, 2))
+
+    def test_matches_repeated_addition(self):
+        """The least k >= 1 whose k-fold sum is 0, found by adding the element
+        to itself; a class of finite order lies in the torsion, so it has
+        order at most the torsion's, and past that the order is infinite."""
+
+        def brute_order(g, elem):
+            bound = math.prod(g.torsion)
+            total = g.zero()
+            for k in range(1, bound + 1):
+                total = g.reduce([x + y for x, y in zip(total, elem)])
+                if not any(total):
+                    return k
+            return math.inf
+
+        rng = random.Random(581)
+        checked = 0
+        while checked < 60:
+            chain = random_torsion_chain(rng, max_order=96, max_len=3)
+            if not chain:
+                continue
+            g = FgAbGroup(rng.randint(0, 2), chain)
+            checked += 1
+            for torsion in itertools.product(*(range(d) for d in chain)):
+                # representatives off the canonical range, too
+                torsion = [x + d * rng.randint(-2, 2) for x, d in zip(torsion, chain)]
+                elem = (0,) * g.free_rank + tuple(torsion)
+                assert element_order(g, elem) == brute_order(g, elem), (g, elem)
+                if g.free_rank and rng.random() < 0.1:
+                    free = [rng.randint(-3, 3) for _ in range(g.free_rank)]
+                    free[rng.randrange(g.free_rank)] = rng.choice((-2, -1, 1, 2))
+                    elem = (*free, *torsion)
+                    assert element_order(g, elem) == brute_order(g, elem) == math.inf, (g, elem)
 
 
 class TestIsomorphism:

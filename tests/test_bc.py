@@ -2,8 +2,10 @@ import math
 
 import pytest
 
+from bs_ktheory import bc
 from bs_ktheory.abelian import FgAbGroup, element_order
 from bs_ktheory.bc import bc_compare, render_report, report_to_json, trace_image
+from bs_ktheory.cli import main
 from bs_ktheory.errors import DomainError, UnspecifiedTraceValue
 from bs_ktheory.ledger import KClass, KClassLedger
 from bs_ktheory.presentation import bs_presentation, classifying_space_k
@@ -75,6 +77,56 @@ class TestCompare:
             bc_compare(0)
         with pytest.raises(DomainError):
             bc_compare(1)
+
+
+def _extra_k1_torsion(k0, k1, ledger):
+    k1 = FgAbGroup(k1.free_rank, (*k1.torsion, 4), (*k1.gen_names, "c"))  # Z + Z/4 + Z/4
+    widened = {s: e._replace(vector=(*e.vector, 0)) for s, e in ledger.items() if e.location == "k1"}
+    ledger = KClassLedger({**ledger, **widened})
+    return k0, k1, ledger
+
+
+def _doubled_b_order(k0, k1, ledger):
+    b = ledger["b"]
+    return k0, k1, ledger.with_entry("b", KClass(b.location, b.vector, 2 * b.order, b.note))
+
+
+def _pt_not_generating(k0, k1, ledger):
+    pt = ledger["[pt]"]
+    return k0, k1, ledger.with_entry("[pt]", KClass(pt.location, (2,), pt.order, pt.note))
+
+
+class TestNegativeControls:
+    """One side of n = 5 patched so the two sides disagree: the verdict must
+    say so, and ``bsk bs`` must exit 3 with the report printed."""
+
+    @pytest.fixture(
+        params=[(_extra_k1_torsion, set()), (_doubled_b_order, {"b"}), (_pt_not_generating, {"[pt]"})],
+        ids=["extra-k1-torsion", "doubled-b-order", "pt-not-generating"],
+    )
+    def patched(self, request, monkeypatch):
+        patch, failing = request.param
+        real = bc.classifying_space_k
+        monkeypatch.setattr(bc, "classifying_space_k", lambda pres: patch(*real(pres)))
+        return failing
+
+    def test_verdict_and_report(self, patched):
+        report = bc_compare(5)
+        assert report.verdict is False
+        assert {m.lhs_symbol for m in report.generator_matches if not m.matched} == patched
+        text = render_report(report)
+        assert "verdict: MISMATCH" in text
+        for line in text.splitlines():
+            if "<->" in line:
+                assert line.endswith("MISMATCH") == (line.split()[0] in patched), line
+        assert report_to_json(report)["verdict"] is False
+
+    def test_cli_exits_3_with_the_report(self, patched, capsys):
+        code = main(["bs", "5"])
+        out = capsys.readouterr().out
+        assert code == 3
+        assert out == render_report(bc_compare(5)) + "\n"
+        assert "verdict: MISMATCH" in out
 
 
 class TestTraceImage:

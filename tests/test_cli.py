@@ -721,6 +721,18 @@ class TestStabilization:
         for group in (data["k0_crossed"], data["k1_crossed"]):
             assert (group["free_rank"], group["torsion"]) == (1, [])
 
+    def test_large_bond_powers_stay_reduced(self, capsys, tmp_path):
+        """n = 2 (2^4000 + 1) acting on the staged cokernel Z/2^4000: each probe
+        squares a 4,000-bit bond, so powers are kept as residues mod 2^4000."""
+        path = localized_input(tmp_path, 2 * (2**4000 + 1), 1 - 2**4000)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "--json", "pv", path)
+        assert code == 0, err
+        assert time.perf_counter() - start < 1
+        data = json.loads(out)
+        for group in (data["k0_crossed"], data["k1_crossed"]):
+            assert (group["free_rank"], group["torsion"]) == (1, [])
+
     def test_bound_reached_exits_3_with_one_line(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr("bs_ktheory.colimit._stabilization_bound", lambda g: 0)
         code, out, err = run(capsys, "pv", localized_input(tmp_path, 2, 1 - 2**70))

@@ -16,7 +16,6 @@ from bs_ktheory.errors import DomainError, UnresolvedExtension
 from bs_ktheory.ledger import KClass, KClassLedger
 from bs_ktheory.pv import (
     KInput,
-    boundary_rule,
     bs_input,
     kinput_from_json,
     kinput_to_json,
@@ -167,10 +166,11 @@ class TestTrivialAction:
         entry = sol.ledger_out.get("[u]")
         assert entry is None or entry.order is None
 
-    def test_boundary_rule_records_the_convention(self):
-        ledger = boundary_rule(trivial_action_input().ledger)
-        assert ledger["[u]"].location == "unitary"
-        assert "-[1]" in ledger["[u]"].note
+    def test_boundary_rule_adjoins_the_unitary(self):
+        entry = pv_solve(trivial_action_input()).ledger_out["[u]"]
+        assert (entry.location, entry.order) == ("crossed1", math.inf)
+        assert "-[1]" in entry.note
+        assert "[u]" not in pv_solve(trivial_action_input(), apply_boundary_rule=False).ledger_out
 
 
 class TestGenericSolves:
