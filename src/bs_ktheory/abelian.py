@@ -10,11 +10,11 @@ There is one Smith-form core, ``_snf_ext``: it reduces by nearest
 remainders, clearing the pivot's column and then its row by passes local to
 each, with one 2x2 step on two rows or two columns where a pass leaves
 remainders, and with the rows of u riding in the working rows. It returns
-one result type, ``SnfDecomposition``: the diagonal and the transforms its
-caller asks for, among u, v and u's inverse, tracked during elimination
-rather than inverted after and kept as the row lists the elimination
-produces. ``_split_diag`` reads the free and torsion coordinates off the
-diagonal for every caller.
+one result type, ``SnfDecomposition``: the diagonal with u and v, and u's
+inverse where the caller reads a cokernel's lifts, all tracked during
+elimination rather than inverted after and kept as the row lists the
+elimination produces. ``_split_diag`` reads the free and torsion
+coordinates off the diagonal for every caller.
 
 Records (``IntMatrix``, ``FgAbGroup``, ``GroupHom``) are validated on
 construction, so they are built only at the API boundary: for the input of
@@ -127,7 +127,7 @@ def identity_minus(a: IntMatrix) -> IntMatrix:
 
 
 class SnfDecomposition(namedtuple("SnfDecomposition", "diag u_rows vt uit")):
-    """A Smith normal form u @ a @ v = s, with the transforms its caller tracked.
+    """A Smith normal form u @ a @ v = s, with u's inverse if its caller tracked it.
 
     ``u`` and ``v`` are unimodular, and ``u @ u_inv`` is the identity.
     ``diag`` is the diagonal of s: nonzero entries are positive, each
@@ -136,7 +136,7 @@ class SnfDecomposition(namedtuple("SnfDecomposition", "diag u_rows vt uit")):
 
     The transforms are stored as the row lists elimination leaves: the rows
     of u (``u_rows``) and the columns of v (``vt``) and of u_inv (``uit``),
-    one empty row each where untracked. The matrices ``u``, ``v``,
+    one empty row each where u_inv is untracked. The matrices ``u``, ``v``,
     ``u_inv`` and ``s`` are built from them on each access.
     """
 
@@ -162,13 +162,12 @@ class SnfDecomposition(namedtuple("SnfDecomposition", "diag u_rows vt uit")):
         return IntMatrix(rows, cols, tuple(entries))
 
 
-def _snf_ext(a: IntMatrix, track: Sequence[str]) -> SnfDecomposition:
-    """Smith normal form with the transforms named in ``track`` alongside.
+def _snf_ext(a: IntMatrix, inverse: bool) -> SnfDecomposition:
+    """Smith normal form with u and v alongside, and u's inverse if ``inverse``.
 
-    ``track`` names the transforms to keep, among ``("u_rows", "vt",
-    "uit")``; an untracked one is a list of empty rows. A tracked u rides
-    in the working rows, row i of u after column c of row i, so one list
-    update moves both; every read of the matrix stops at column c.
+    u rides in the working rows, row i of u after column c of row i, so one
+    list update moves both; every read of the matrix stops at column c. An
+    untracked inverse is a list of empty rows.
 
     Position t starts from the nonzero entry of least absolute value in the
     trailing submatrix, first in row-major order, so the output is
@@ -189,19 +188,14 @@ def _snf_ext(a: IntMatrix, track: Sequence[str]) -> SnfDecomposition:
     (``uit``, ``vt``) so that every update of them replaces whole rows, and
     ``uit`` updates are skipped where it is untracked.
     """
-    r, c = a.rows, a.cols
-    entries, inv = a.entries, "uit" in track
-    u_width = r if "u_rows" in track else 0
-    m = [[*entries[i * c : (i + 1) * c], *[0] * u_width] for i in range(r)]
-    uit = [[0] * r if inv else [] for _ in range(r)]
-    vt = [[0] * c if "vt" in track else [] for _ in range(c)]
-    # each tracked transform starts as the identity
-    for i in range(u_width):
-        m[i][c + i] = 1
-    for i in range(r if inv else 0):
-        uit[i][i] = 1
-    for j in range(c if "vt" in track else 0):
-        vt[j][j] = 1
+    r, c, entries = a
+    m = [[*entries[i * c : (i + 1) * c], *[0] * r] for i in range(r)]
+    vt = [[0] * c for _ in range(c)]
+    uit = [[0] * r if inverse else [] for _ in range(r)]
+    # u, v and a tracked u_inv start as the identity
+    for rows, at in ((m, c), (vt, 0), (uit if inverse else (), 0)):
+        for i, row in enumerate(rows):
+            row[at + i] = 1
 
     t = 0
     limit = min(r, c)
@@ -237,7 +231,7 @@ def _snf_ext(a: IntMatrix, track: Sequence[str]) -> SnfDecomposition:
                     if q:
                         row[t + 1 :] = [x - q * y for x, y in zip(row[t + 1 :], tail)]
                         row[t] = e
-                        if inv:
+                        if inverse:
                             uit[t] = [x + q * y for x, y in zip(uit[t], uit[k])]
                     if e:
                         rems.append((math.gcd(p, e), abs(e), k))
@@ -263,7 +257,7 @@ def _snf_ext(a: IntMatrix, track: Sequence[str]) -> SnfDecomposition:
                     if k == t:
                         break
                     top[t + 1 :] = [x + y for x, y in zip(top[t + 1 :], m[k][t + 1 :])]
-                    if inv:
+                    if inverse:
                         uit[k] = [x - y for x, y in zip(uit[k], uit[t])]
                     continue
 
@@ -278,7 +272,7 @@ def _snf_ext(a: IntMatrix, track: Sequence[str]) -> SnfDecomposition:
                 rt, ri = top[t:], m[i][t:]
                 top[t:] = [e00 * x + e01 * y for x, y in zip(rt, ri)]
                 m[i][t:] = [e10 * x + e11 * y for x, y in zip(rt, ri)]
-                if inv:  # E's inverse, det * [[e11, -e01], [-e10, e00]], transposed
+                if inverse:  # E's inverse, det * [[e11, -e01], [-e10, e00]], transposed
                     d = e00 * e11 - e01 * e10
                     rt, ri = uit[t], uit[i]
                     uit[t] = [d * (e11 * x - e10 * y) for x, y in zip(rt, ri)]
@@ -293,7 +287,7 @@ def _snf_ext(a: IntMatrix, track: Sequence[str]) -> SnfDecomposition:
 
         if top[t] < 0:
             top[t:] = [-x for x in top[t:]]
-            if inv:
+            if inverse:
                 uit[t] = [-x for x in uit[t]]
         t += 1
 
@@ -306,7 +300,7 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
     Works on any rectangular matrix, including empty ones. The result is
     deterministic, and carries ``u`` and ``v`` but not their inverses.
     """
-    return _snf_ext(a, ("u_rows", "vt"))
+    return _snf_ext(a, False)
 
 
 def _split_diag(diag: tuple[int, ...], count: int) -> tuple[range, range]:
@@ -520,19 +514,22 @@ class _CokernelData(namedtuple("_CokernelData", "group proj lifts")):
 
     group: FgAbGroup
     proj: list[list[int]]  # rows of the projection: one per quotient generator
-    lifts: list[list[int]]  # lifts[j] is a target vector over quotient generator j
+    # lifts[j] is a target vector over quotient generator j; empty rows where
+    # the ext has no inverse, as for pv._fg_side and H1, which read none
+    lifts: list[list[int]]
 
 
-def _relations_snf(h: GroupHom, track: Sequence[str] = ("u_rows", "vt", "uit")) -> SnfDecomposition:
-    """Smith form of [h | target relations]: with all three transforms, the ``ext`` of h's kernel and cokernel."""
-    return _snf_ext(_with_relations(h.matrix.to_rows(), h.matrix.cols, h.target), track)
+def _relations_snf(h: GroupHom, inverse: bool = True) -> SnfDecomposition:
+    """Smith form of [h | target relations], the ``ext`` of h's kernel and
+    cokernel: with u's inverse unless ``inverse`` is false, when its lifts are empty."""
+    return _snf_ext(_with_relations(h.matrix.to_rows(), h.matrix.cols, h.target), inverse)
 
 
 def _cokernel_ext(h: GroupHom, ext: SnfDecomposition | None = None) -> _CokernelData:
     """Normal form of target / im(h): the projection has one row per kept
     generator, and the lifts are its right inverse up to dropped unit summands."""
     target = h.target
-    ext = ext or _relations_snf(h, ("u_rows", "uit"))
+    ext = ext or _relations_snf(h)
     free_idx, tors_idx = _split_diag(ext.diag, target.gen_count)
     kept = [*free_idx, *tors_idx]
     proj = [ext.u_rows[i] for i in kept]
@@ -555,7 +552,7 @@ def _kernel_ext(h: GroupHom, ext: SnfDecomposition | None = None) -> _KernelData
     n = h.source.gen_count
     # preimage lattice of the target relation lattice, cut to the source: its
     # vectors are independent, as the relation columns are
-    ext = ext or _relations_snf(h, ("vt",))
+    ext = ext or _relations_snf(h, False)
     gens = [tuple(ext.vt[j][:n]) for j in _split_diag(ext.diag, len(ext.vt))[0]]
     torsion = ()
     # with source torsion the kernel is the image of b: Z^k -> source, generator
@@ -597,7 +594,7 @@ def solve(h: GroupHom, target_vec: Sequence[int]) -> tuple[int, ...] | None:
     """
     if len(target_vec) != h.target.gen_count:
         raise ValueError("vector length does not match target generator count")
-    ext = _relations_snf(h, ("u_rows", "vt"))
+    ext = _relations_snf(h, False)
     free_idx, _ = _split_diag(ext.diag, h.target.gen_count)
     y = [sum(x * t for x, t in zip(row, target_vec)) for row in ext.u_rows]
     if any(y[i] for i in free_idx):

@@ -209,7 +209,7 @@ def normalize(c: ColimModule) -> AbObject:
 
     # the bond is invertible over Z exactly when its Smith form is all units
     free_block = [row[:r] for row in bond[:r]]
-    if _snf_ext(IntMatrix.from_rows(free_block), ()).diag.count(1) == r:
+    if _snf_ext(IntMatrix.from_rows(free_block), False).diag.count(1) == r:
         return quotient
 
     torsion_part = FgAbGroup(0, quotient.torsion, quotient.gen_names[r:])

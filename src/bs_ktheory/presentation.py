@@ -41,6 +41,7 @@ from .abelian import (
     IntMatrix,
     _cokernel_ext,
     _dominant_names,
+    _relations_snf,
     element_order,
 )
 from .errors import DomainError, ParseError, ProperPowerRelator, UndeclaredGenerator, _checked_namedtuple
@@ -247,7 +248,7 @@ def _abelianization_ext(p: Presentation) -> tuple[FgAbGroup, GroupHom]:
     free = FgAbGroup.free(m, p.generators)
     relator_source = FgAbGroup.free(1, ("r",))
     h = GroupHom(relator_source, free, IntMatrix(m, 1, exponent_vector(p)))
-    data = _cokernel_ext(h)
+    data = _cokernel_ext(h, _relations_snf(h, False))  # H1 reads no lifts
     group = data.group.renamed(_dominant_names(data.proj, p.generators, ""))
     return group, GroupHom(free, group, IntMatrix.from_rows(data.proj, cols=m))
 

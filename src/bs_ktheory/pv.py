@@ -176,7 +176,7 @@ class _Side(namedtuple("_Side", "coinv proj inv d ker c")):
 
 def _fg_side(alpha: GroupHom) -> _Side:
     d = GroupHom(alpha.source, alpha.source, identity_minus(alpha.matrix))
-    ext = _relations_snf(d)  # one Smith form for both
+    ext = _relations_snf(d, False)  # one Smith form for both; no lifts are read
     coker, ker = _cokernel_ext(d, ext), _kernel_ext(d, ext)
     return _Side(coker.group, coker.proj, ker.group, d, ker, None)
 

@@ -585,7 +585,7 @@ def _normal_form_of_quotient(
     one row per surviving generator; the section is its right inverse up to
     the dropped unit summands.
     """
-    ext = _snf_ext(relation_cols, ("u_rows", "vt", "uit"))
+    ext = _snf_ext(relation_cols, True)
     free_idx, tors_idx = _split_diag(ext.diag, ambient_count)
     kept = [*free_idx, *tors_idx]
 
@@ -611,7 +611,7 @@ def reference_cokernel_ext(h: GroupHom) -> _CokernelData:
 
 def reference_integer_kernel_basis(a: IntMatrix) -> list[tuple[int, ...]]:
     """A lattice basis of {x : a x = 0} over the integers."""
-    ext = _snf_ext(a, ("u_rows", "vt", "uit"))
+    ext = _snf_ext(a, True)
     free_idx, _ = _split_diag(ext.diag, a.cols)
     return [ext.v.col(j) for j in free_idx]
 
@@ -633,7 +633,7 @@ def reference_kernel_ext(h: GroupHom) -> _KernelData:
     rel_gens = [vec[: b.cols] for vec in reference_integer_kernel_basis(rel)]
     rel_mat = IntMatrix.from_rows([[g[i] for g in rel_gens] for i in range(b.cols)], cols=len(rel_gens))
 
-    ext = _snf_ext(rel_mat, ("u_rows", "vt", "uit"))
+    ext = _snf_ext(rel_mat, True)
     free_idx, tors_idx = _split_diag(ext.diag, b.cols)
     kept = [*free_idx, *tors_idx]
 
@@ -658,7 +658,7 @@ def reference_solve(h: GroupHom, target_vec: Sequence[int]) -> tuple[int, ...] |
     if len(target_vec) != h.target.gen_count:
         raise ValueError("vector length does not match target generator count")
     a = hstack(h.matrix, relation_matrix(h.target))
-    ext = _snf_ext(a, ("u_rows", "vt", "uit"))
+    ext = _snf_ext(a, True)
     free_idx, _ = _split_diag(ext.diag, a.rows)
     y = ext.u.apply(target_vec)
     if any(y[i] for i in free_idx):
@@ -676,7 +676,7 @@ def reference_solve(h: GroupHom, target_vec: Sequence[int]) -> tuple[int, ...] |
 def reference_generates(g: FgAbGroup, vec: Sequence[int]) -> bool:
     """Does ``vec`` generate g? Read off the Smith form of [vec | relations]:
     it does exactly when no coordinate is left free or torsion."""
-    ext = _snf_ext(_with_relations([[x] for x in g.reduce(vec)], 1, g), ())
+    ext = _snf_ext(_with_relations([[x] for x in g.reduce(vec)], 1, g), False)
     return not any(_split_diag(ext.diag, g.gen_count))
 
 

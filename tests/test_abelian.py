@@ -16,6 +16,7 @@ from bs_ktheory.abelian import (
     generates,
     group_from_json,
     group_to_json,
+    identity_minus,
     is_isomorphic,
     smith_normal_form,
     solve,
@@ -64,7 +65,7 @@ def assert_reference_diagonal(a: IntMatrix) -> None:
     """The diagonal is the reference's, and u, v and u's tracked inverse
     are unimodular transforms to it; they may differ from the reference's."""
     r, c = a.rows, a.cols
-    dec = _snf_ext(a, ALL_TRANSFORMS)
+    dec = _snf_ext(a, True)
     ref = reference_snf_ext(a)
     assert dec.diag == tuple(ref.s.at(i, i) for i in range(min(r, c))), a
     assert dec.u @ a @ dec.v == dec.s == ref.s, a
@@ -152,7 +153,7 @@ class TestSmithNormalForm:
     def test_ties_and_exact_quotients_match_reference_transforms(self, rows):
         # a remainder of exactly |p| / 2 keeps the floor quotient, as before
         a = IntMatrix.from_rows(rows)
-        dec = _snf_ext(a, ALL_TRANSFORMS)
+        dec = _snf_ext(a, True)
         assert (dec.s, dec.u, dec.v, dec.u_inv) == tuple(reference_snf_ext(a))[:4]
         assert_reference_diagonal(a)
 
@@ -170,63 +171,56 @@ class TestSmithNormalForm:
         shapes = [(rng.randint(0, 7), rng.randint(0, 7), 20) for _ in range(300)] + [(20, 20, 20)] * 3
         for r, c, bound in shapes:
             a = IntMatrix(r, c, tuple(rng.randint(-bound, bound) for _ in range(r * c)))
-            dec = _snf_ext(a, ALL_TRANSFORMS)
+            dec = _snf_ext(a, True)
             assert dec.u @ dec.u_inv == IntMatrix.identity(r)
             assert dec.u @ a @ dec.v == dec.s
 
-    @pytest.mark.parametrize(
-        "track",
-        [("u_rows", "vt"), ("u_rows", "uit"), ("vt",), ("uit",), ()],
-        ids=["smith_normal_form-and-solve", "cokernel", "kernel-basis", "kernel-relations", "generates"],
-    )
-    def test_partial_tracking_matches_full(self, track):
-        # each caller's subset: tracked fields as if all were, the rest empty rows
-        rng = random.Random(606 + len(track))
+    @pytest.mark.parametrize("inverse", [False, True], ids=["smith_normal_form-and-solve", "cokernel"])
+    def test_partial_tracking_matches_full(self, inverse):
+        # u and v as if all were tracked, and u's inverse too or empty rows
+        rng = random.Random(608 + inverse)
         shapes = [(0, k) for k in range(4)] + [(k, 0) for k in range(1, 4)]
         shapes += [(rng.randint(1, 8), rng.randint(1, 8)) for _ in range(200)]
         shapes += [(rng.randint(24, 28), rng.randint(20, 28)) for _ in range(2)]
         for r, c in shapes:
             a = IntMatrix(r, c, tuple(rng.randint(-20, 20) for _ in range(r * c)))
-            full, part = _snf_ext(a, ALL_TRANSFORMS), _snf_ext(a, track)
+            full, part = _snf_ext(a, True), _snf_ext(a, inverse)
             assert part.diag == full.diag, a
             for name in ALL_TRANSFORMS:
                 rows = getattr(part, name)
-                assert rows == (getattr(full, name) if name in track else [[]] * len(rows)), (a, name)
+                assert rows == (getattr(full, name) if name != "uit" or inverse else [[]] * len(rows)), (a, name)
                 assert len(rows) == (c if name == "vt" else r)
 
     def test_views_build_on_a_partial_result(self):
         # perfbench/spans.py reads all four views of every traced Smith form
         a = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12]])
-        full = _snf_ext(a, ALL_TRANSFORMS)
+        full = _snf_ext(a, True)
         assert full.s == IntMatrix.from_rows([[2, 0, 0], [0, 6, 0]])
-        assert smith_normal_form(a) == _snf_ext(a, ("u_rows", "vt"))
-        for track in ((), ("u_rows", "vt"), ("u_rows", "uit"), ("vt",), ("uit",)):
-            dec = _snf_ext(a, track)
+        assert smith_normal_form(a) == _snf_ext(a, False)
+        for inverse in (False, True):
+            dec = _snf_ext(a, inverse)
             assert dec.s == full.s
             same = (dec.u == full.u, dec.v == full.v, dec.u_inv == full.u_inv)
-            assert same == tuple(name in track for name in ALL_TRANSFORMS)
+            assert same == (True, True, inverse)
             assert dec.v_inv.entries == ()
 
-    @pytest.mark.parametrize(
-        "track",
-        [track for k in range(4) for track in itertools.combinations(ALL_TRANSFORMS, k)],
-        ids=lambda track: "+".join(track) or "none",
-    )
-    def test_pair_step_matches_quotient_by_quotient(self, track):
+    @pytest.mark.parametrize("inverse", [False, True], ids=["u_rows+vt", "u_rows+vt+uit"])
+    def test_pair_step_matches_quotient_by_quotient(self, inverse):
         # one 2x2 transform per pair leaves what one row update per quotient would
         rng = random.Random(707)
         shapes = [(r, c, bound) for r in range(9) for c in range(9) for bound in (1, 3, 20, 10**6)]
         shapes += [(24, 28, 20), (28, 26, 20)]
+        track = ALL_TRANSFORMS if inverse else ("u_rows", "vt")
         for r, c, bound in shapes:
             a = IntMatrix(r, c, tuple(rng.randint(-bound, bound) for _ in range(r * c)))
-            assert tuple(_snf_ext(a, track)) == reference_pair_snf_ext(a, track), a
+            assert tuple(_snf_ext(a, inverse)) == reference_pair_snf_ext(a, track), a
 
     def test_pair_step_pinned(self):
         # the first pass leaves -2 and 3 under the pivot 6, and the pair step
         # on (6, -2) leaves -2; the next pass leaves -1 under it, and the pair
         # step on (-2, -1) leaves -1
         a = IntMatrix.from_rows([[6], [10], [15]])
-        dec = _snf_ext(a, ALL_TRANSFORMS)
+        dec = _snf_ext(a, True)
         assert dec.diag == (1,)
         assert dec.u_rows == [[6, -2, -1], [-5, 3, 0], [10, -3, -2]]
         assert dec.uit == [[6, 10, 15], [1, 2, 2], [-3, -5, -8]]
@@ -238,7 +232,7 @@ class TestSmithNormalForm:
         # pivot 6, and the column step on (6, -2) leaves -2; the next row pass
         # leaves -1 right of it, and the column step on (-2, -1) leaves -1
         a = IntMatrix.from_rows([[6, 10, 15]])
-        dec = _snf_ext(a, ALL_TRANSFORMS)
+        dec = _snf_ext(a, True)
         assert dec.diag == (1,)
         assert dec.u_rows == dec.uit == [[-1]]
         assert dec.vt == [[-6, 2, 1], [-5, 3, 0], [10, -3, -2]]
@@ -294,6 +288,12 @@ class TestNoCoercion:
         # a bool is below 2 as well; the message shows the type check caught it
         with pytest.raises(ValueError, match="Python ints"):
             FgAbGroup(0, (True,))
+
+    def test_shapes_checked(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            IntMatrix.identity(2) @ IntMatrix.identity(3)
+        with pytest.raises(ValueError, match="square"):
+            identity_minus(IntMatrix.from_rows([[1, 2]]))
 
     @pytest.mark.parametrize("vec", [(1.5, 3.7), (1, 3.0), (Fraction(1), 3), (1, True)])
     def test_reduce_rejects_non_int_coordinates(self, vec):

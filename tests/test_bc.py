@@ -147,6 +147,13 @@ class TestTraceImage:
         with pytest.raises(UnspecifiedTraceValue):
             trace_image(fake)
 
+    def test_unit_not_in_ledger_is_refused(self):
+        z = FgAbGroup.free(1, ("b",))
+        seq = SeqRecord(z, z, FgAbGroup.trivial(), True, "")
+        fake = PvSolution(z, FgAbGroup.trivial(), KClassLedger({"[b]": KClass("crossed0", (1,), math.inf)}), seq, seq)
+        with pytest.raises(UnspecifiedTraceValue, match='does not locate "\\[1\\]"'):
+            trace_image(fake)
+
     def test_trivial_k0(self):
         trivial = FgAbGroup.trivial()
         seq = SeqRecord(trivial, trivial, trivial, True, "")

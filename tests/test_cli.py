@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from bs_ktheory import cli
+from bs_ktheory import cli, solenoid
 from bs_ktheory.abelian import IntMatrix, smith_normal_form
 from bs_ktheory.cli import _read_argv, _without_digit_limit, build_parser, main
 from bs_ktheory.pv import bs_input, kinput_to_json
@@ -469,6 +469,25 @@ class TestPair:
         code, out, _ = run(capsys, "--json", "pair", "--n", "3", "--depth", "10000", "--trials", "1")
         assert code == 0
         assert json.loads(out)["failed"] == 0
+
+    @pytest.mark.parametrize("broken", ["level-shift", "additivity", "duality"])
+    def test_a_broken_identity_is_counted(self, capsys, monkeypatch, broken):
+        # negative controls: _run_pair imports these names from solenoid at call time
+        raw, add = solenoid.pairing_raw, solenoid.RationalAngle.__add__
+        if broken == "level-shift":  # reads m/n^exp one level up; pairing keeps the true angle
+            monkeypatch.setattr(solenoid, "pairing", lambda z, x: raw(z, x.m, x.exp))
+            monkeypatch.setattr(solenoid, "pairing_raw", lambda z, m, exp: raw(z, m, exp - 1))
+        elif broken == "additivity":  # angles subtract
+            monkeypatch.setattr(solenoid.RationalAngle, "__add__", lambda a, b: add(a, type(a)(-b.p, b.q)))
+        else:  # a shift that drops no level
+            monkeypatch.setattr(solenoid, "dual_shift", lambda z: z)
+        argv = ["pair", "--n", "3", "--depth", "5", "--trials", "100"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 3
+        assert int(re.search(r"failed: (\d+)", out).group(1)) > 0
+        code, out, _ = run(capsys, "--json", *argv)
+        assert code == 3
+        assert json.loads(out)["failed"] > 0
 
 
 class TestSnf:

@@ -28,6 +28,9 @@ class TestWord:
         w = Word(((0, 1), (1, 1), (1, -1), (0, -1)))
         assert not w.letters
 
+    def test_zero_exponent_dropped(self):
+        assert Word(((0, 0), (1, 2))).letters == ((1, 2),)
+
     def test_inverse(self):
         w = Word(((0, 1), (1, -3)))
         assert not (w * w.inverse()).letters

@@ -266,6 +266,29 @@ class TestRecordBudget:
         assert taken == [7, 7, 10, 7, 3]
 
 
+class TestInverseTracked:
+    """u's inverse is tracked only by a Smith form whose cokernel lifts are read."""
+
+    def record_flags(self, monkeypatch) -> list:
+        flags = []
+        snf = abelian._snf_ext
+        patch_snf(monkeypatch, lambda a, inverse: flags.append(inverse) or snf(a, inverse))
+        return flags
+
+    def test_bc_compare(self, monkeypatch):
+        flags = self.record_flags(monkeypatch)
+        assert bc.bc_compare(5).verdict
+        # the abelianization, the finitely generated side, the staged pair
+        # (its cokernel's lifts induce the bond), then solve
+        assert flags == [False, False, True, False]
+
+    def test_cokernel_without_ext(self, monkeypatch):
+        flags = self.record_flags(monkeypatch)
+        z = FgAbGroup.free(1)
+        assert abelian._cokernel_ext(GroupHom(z, z, IntMatrix(1, 1, (4,)))).lifts == [[1]]
+        assert flags == [True]
+
+
 def chain_length(c: ColimModule) -> int:
     """The least s with ker(bond^(s+1)) = ker(bond^s), by record-based kernels."""
     prev, s = GroupHom.identity(c.stage), 0
